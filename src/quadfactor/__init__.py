@@ -54,13 +54,11 @@ from .linalg import (
     contraction_check,
     direct_sum,
     frobenius,
-    hermitian_eig,
     operator_norm,
     pinv,
     psd_check,
     range_projection,
     sqrtm_psd,
-    svd,
 )
 from .verify import (
     Factorization,
@@ -116,7 +114,6 @@ __all__ = [
     "feasibility_bound",
     "format_json",
     "frobenius",
-    "hermitian_eig",
     "matrix_to_document",
     "necessary_conditions",
     "operator_norm",
@@ -127,6 +124,5 @@ __all__ = [
     "random_quadratic",
     "range_projection",
     "sqrtm_psd",
-    "svd",
     "verify_certificate",
 ]

@@ -86,7 +86,7 @@ def canonical_matrix(a, b, d1: int, d2: int, r: int, p_values) -> np.ndarray:
     return out
 
 
-def detect_quadratic(t, tol: float = DEFAULT_TOL):
+def detect_quadratic(t, tol: float = DEFAULT_TOL, *, _t2=None):
     """Identify the minimal quadratic satisfied by ``t``.
 
     Solves the least-squares system vec(T^2) = s vec(T) - p vec(I) and
@@ -94,22 +94,24 @@ def detect_quadratic(t, tol: float = DEFAULT_TOL):
     ``tol * max(1, norm(T)^2)``.  Scalar matrices short-circuit to a = b.
 
     Returns QuadraticParams; raises NotQuadraticError when no monic
-    quadratic fits.
+    quadratic fits.  ``_t2``, when given, is ``t @ t`` already computed
+    by the caller.
     """
     m = as_matrix(t)
     n = m.shape[0]
     if n != m.shape[1]:
         raise ValueError("detect_quadratic requires a square matrix")
+    square = m @ m if _t2 is None else _t2
     norm_t = frobenius(m)
     eye = np.eye(n)
     alpha = complex(np.trace(m) / n)
     if frobenius(m - alpha * eye) <= tol * max(1.0, norm_t):
-        residual = frobenius(m @ m - 2 * alpha * m + (alpha * alpha) * eye)
+        residual = frobenius(square - 2 * alpha * m + (alpha * alpha) * eye)
         return QuadraticParams(alpha, alpha, float(residual))
     design = np.column_stack([m.ravel(), -eye.ravel().astype(complex)])
-    coeffs, *_ = np.linalg.lstsq(design, (m @ m).ravel(), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(design, square.ravel(), rcond=None)
     s, p = complex(coeffs[0]), complex(coeffs[1])
-    residual = frobenius(m @ m - s * m + p * eye)
+    residual = frobenius(square - s * m + p * eye)
     if residual > tol * max(1.0, norm_t * norm_t):
         raise NotQuadraticError(
             "no monic quadratic annihilates the matrix "
@@ -145,7 +147,9 @@ def _guard_rank_gap(singular_values, cutoff: float) -> None:
         )
 
 
-def canonicalize(t, params: QuadraticParams, tol: float = DEFAULT_TOL) -> CanonicalForm:
+def canonicalize(
+    t, params: QuadraticParams, tol: float = DEFAULT_TOL, *, _t2=None
+) -> CanonicalForm:
     """Reduce a quadratic matrix to canonical form.
 
     The eigenspace M = ker(T - aI) is extracted by SVD; on M (+) M_perp the
@@ -155,6 +159,7 @@ def canonicalize(t, params: QuadraticParams, tol: float = DEFAULT_TOL) -> Canoni
 
     Raises NotQuadraticError when (T - aI)(T - bI) is not ~0, and
     RankAmbiguousError when a rank decision is too close to call.
+    ``_t2``, when given, is ``t @ t`` already computed by the caller.
     """
     m = as_matrix(t)
     n = m.shape[0]
@@ -163,7 +168,9 @@ def canonicalize(t, params: QuadraticParams, tol: float = DEFAULT_TOL) -> Canoni
     a, b = params.a, params.b
     norm_t = frobenius(m)
     eye = np.eye(n)
-    relation = frobenius(m @ m - (a + b) * m + (a * b) * eye)
+    square = m @ m if _t2 is None else _t2
+    relation = frobenius(square - (a + b) * m + (a * b) * eye)
+    del square  # T^2 is not needed past the relation check
     if relation > tol * max(1.0, norm_t * norm_t):
         raise NotQuadraticError(
             "matrix does not satisfy (T-aI)(T-bI)=0 for the given parameters "

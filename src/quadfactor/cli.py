@@ -23,14 +23,9 @@ import sys
 
 import numpy as np
 
-from .canonical import CanonicalForm, QuadraticParams, canonicalize, detect_quadratic
+from .canonical import CanonicalForm, QuadraticParams
 from .errors import InfeasibleError, NotQuadraticError
-from .factorize import (
-    FeasibilityReport,
-    assess_feasibility,
-    factor_quadratic,
-    feasibility_bound,
-)
+from .factorize import FeasibilityReport, _analyze, _construct, feasibility_bound
 from .io import (
     EXIT_CODES,
     RunReport,
@@ -184,33 +179,27 @@ def _verification_payload(report: VerificationReport) -> dict:
     }
 
 
-def _cmd_check(args) -> RunReport:
-    t = _read_matrix(args)
-    params = detect_quadratic(t, args.tol)
-    form = canonicalize(t, params, args.tol)
-    p_norm = float(form.p_values[0]) if form.r > 0 else 0.0
-    feas = assess_feasibility(params.a, params.b, p_norm, args.tol)
-    payload = {
-        "params": _params_payload(params),
-        "canonical": _canonical_payload(form),
-        "feasibility": _feasibility_payload(feas),
+def _analysis_payload(analysis, feasibility: FeasibilityReport) -> dict:
+    return {
+        "params": _params_payload(analysis.params),
+        "canonical": _canonical_payload(analysis.form),
+        "feasibility": _feasibility_payload(feasibility),
     }
-    return RunReport("check", "ok" if feas.feasible else "infeasible", payload)
+
+
+def _cmd_check(args) -> RunReport:
+    analysis = _analyze(_read_matrix(args), args.tol)
+    verdict = "ok" if analysis.feasibility.feasible else "infeasible"
+    return RunReport("check", verdict, _analysis_payload(analysis, analysis.feasibility))
 
 
 def _cmd_factor(args) -> RunReport:
     t = _read_matrix(args)
+    analysis = _analyze(t, args.tol)
     try:
-        result = factor_quadratic(t, args.tol)
+        result = _construct(analysis, args.tol)
     except InfeasibleError as exc:
-        params = detect_quadratic(t, args.tol)
-        form = canonicalize(t, params, args.tol)
-        payload = {
-            "message": str(exc),
-            "params": _params_payload(params),
-            "canonical": _canonical_payload(form),
-            "feasibility": _feasibility_payload(exc.report),
-        }
+        payload = {"message": str(exc), **_analysis_payload(analysis, exc.report)}
         return RunReport("factor", "infeasible", payload)
     payload = {
         "t": matrix_to_document(t),
@@ -222,13 +211,11 @@ def _cmd_factor(args) -> RunReport:
 
 
 def _cmd_canonical(args) -> RunReport:
-    t = _read_matrix(args)
-    params = detect_quadratic(t, args.tol)
-    form = canonicalize(t, params, args.tol)
+    analysis = _analyze(_read_matrix(args), args.tol)
     payload = {
-        "params": _params_payload(params),
-        "canonical": _canonical_payload(form),
-        "unitary": matrix_to_document(form.unitary),
+        "params": _params_payload(analysis.params),
+        "canonical": _canonical_payload(analysis.form),
+        "unitary": matrix_to_document(analysis.form.unitary),
     }
     return RunReport("canonical", "ok", payload)
 

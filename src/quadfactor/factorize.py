@@ -258,12 +258,38 @@ def factor_2x2(a: float, b: float, z: float, tol: float = DEFAULT_TOL) -> Factor
     )
 
 
+def _closed_form_entries(a: float, b: float, values, tol: float) -> np.ndarray:
+    """Rows (a11, a12, a22, b11, b12, b22) of ``factor_2x2(a, b, v)`` for
+    each coupling value v, as a (6, len(values)) array."""
+    scalars = [factor_2x2(a, b, v, tol) for v in values]
+    return np.array([f.a_entries + f.b_entries for f in scalars], dtype=float).reshape(-1, 6).T
+
+
+def _diagonal_grid(upper, cross, lower) -> np.ndarray:
+    """The Hermitian 2x2 grid [[diag(upper), diag(cross)], [diag(cross), diag(lower)]].
+
+    Built by index rather than with ``np.block``, whose fixed cost is a
+    noticeable share of a factor_quadratic call at n = 2.
+    """
+    r = len(upper)
+    out = np.zeros((2 * r, 2 * r))
+    idx = np.arange(r)
+    out[idx, idx] = upper
+    out[idx, idx + r] = cross
+    out[idx + r, idx] = cross
+    out[idx + r, idx + r] = lower
+    return out
+
+
 def factor_block(a: float, b: float, p, tol: float = DEFAULT_TOL) -> Factorization:
     """Lift the 2x2 closed forms through a PSD coupling block P.
 
     Factors ``[[a I, P], [0, b I]]`` (2r x 2r) by applying the scalar
     solution entrywise to the eigenvalues of P.  Requires P Hermitian PSD
-    with ``norm(P) <= feasibility_bound(a, b) + tol``.
+    with ``norm(P) <= feasibility_bound(a, b) + tol``.  The result carries
+    its own certificate (``verify_certificate`` on the 2r x 2r block);
+    ``factor_quadratic`` does not call this function, and certifies only
+    the full matrix.
     """
     av = _clamped_unit("a", float(a), tol)
     bv = _clamped_unit("b", float(b), tol)
@@ -278,17 +304,10 @@ def factor_block(a: float, b: float, p, tol: float = DEFAULT_TOL) -> Factorizati
     bound = feasibility_bound(av, bv)
     if p_norm > bound + tol:
         raise InfeasibleError(assess_feasibility(av, bv, p_norm, tol))
-    scalars = [factor_2x2(av, bv, max(float(ev), 0.0), tol) for ev in eigs]
-
-    def lift(values) -> np.ndarray:
-        return (vecs * np.asarray(values, dtype=float)) @ vecs.conj().T
-
-    a_upper = lift([f.a11 for f in scalars])
-    a_cross = lift([f.a12 for f in scalars])
-    a_lower = lift([f.a22 for f in scalars])
-    b_upper = lift([f.b11 for f in scalars])
-    b_cross = lift([f.b12 for f in scalars])
-    b_lower = lift([f.b22 for f in scalars])
+    entries = _closed_form_entries(av, bv, [max(float(ev), 0.0) for ev in eigs], tol)
+    a_upper, a_cross, a_lower, b_upper, b_cross, b_lower = (
+        (vecs * values) @ vecs.conj().T for values in entries
+    )
     fa = np.block([[a_upper, a_cross], [a_cross.conj().T, a_lower]])
     fb = np.block([[b_upper, b_cross], [b_cross.conj().T, b_lower]])
     eye = np.eye(r)
@@ -330,34 +349,66 @@ def assemble_full_factors(
     return u @ core_a @ u.conj().T, u @ core_b @ u.conj().T
 
 
-def factor_quadratic(t, tol: float = DEFAULT_TOL) -> Factorization:
-    """Full pipeline: detect, canonicalize, decide, construct, certify.
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """Detection, canonical form and feasibility decision for one matrix."""
 
-    Raises NotQuadraticError when no monic quadratic fits and
-    InfeasibleError (with the FeasibilityReport attached) when the spectral
-    parameters leave [0, 1] or the coupling norm exceeds the bound.
-    """
+    matrix: np.ndarray
+    params: QuadraticParams
+    form: CanonicalForm
+    feasibility: FeasibilityReport
+
+
+def _analyze(t, tol: float) -> _Analysis:
+    """Detect, canonicalize and assess ``t``, computing T^2 once for the
+    first two stages."""
     m = as_matrix(t)
-    params = detect_quadratic(m, tol)
-    form = canonicalize(m, params, tol)
+    t2 = m @ m
+    params = detect_quadratic(m, tol, _t2=t2)
+    form = canonicalize(m, params, tol, _t2=t2)
     p_norm = float(form.p_values[0]) if form.r > 0 else 0.0
     report = assess_feasibility(params.a, params.b, p_norm, tol)
+    return _Analysis(matrix=m, params=params, form=form, feasibility=report)
+
+
+def _construct(analysis: _Analysis, tol: float) -> Factorization:
+    """Build and certify the factors of an analysed matrix.
+
+    In canonical coordinates P is diag(p_values), so the coupled block's
+    factors are the 2x2 closed forms of each p laid out as a grid of
+    diagonal blocks; no eigendecomposition is needed.  The one certificate
+    is ``verify_certificate`` on the full matrix.
+    """
+    report = analysis.feasibility
     if not report.feasible:
         raise InfeasibleError(report)
+    form = analysis.form
     clean = replace(
-        form, params=QuadraticParams(report.a, report.b, params.residual)
+        form, params=QuadraticParams(report.a, report.b, analysis.params.residual)
     )
-    if form.r > 0:
-        block = factor_block(report.a, report.b, np.diag(form.p_values), tol)
-        block_a, block_b = block.A, block.B
-    else:
-        block_a = np.zeros((0, 0), dtype=complex)
-        block_b = np.zeros((0, 0), dtype=complex)
+    a11, a12, a22, b11, b12, b22 = _closed_form_entries(
+        report.a, report.b, form.p_values, tol
+    )
+    block_a = _diagonal_grid(a11, a12, a22)
+    block_b = _diagonal_grid(b11, b12, b22)
     fa, fb = assemble_full_factors(clean, block_a, block_b)
-    cert = verify_certificate(m, fa, fb, tol)
+    cert = verify_certificate(analysis.matrix, fa, fb, tol)
     if not cert.passed:
         raise CertificateError(
             "assembled factorization failed verification (residual %.3e)"
             % cert.product_residual
         )
     return Factorization(A=fa, B=fb, report=cert)
+
+
+def factor_quadratic(t, tol: float = DEFAULT_TOL) -> Factorization:
+    """Full pipeline: detect, canonicalize, decide, construct, certify.
+
+    Applies the 2x2 closed forms to the canonical coupling values directly
+    and certifies once, with ``verify_certificate`` on the full matrix and
+    its assembled factors; the coupled block gets no certificate of its
+    own.  Raises NotQuadraticError when no monic quadratic fits and
+    InfeasibleError (with the FeasibilityReport attached) when the spectral
+    parameters leave [0, 1] or the coupling norm exceeds the bound.
+    """
+    return _construct(_analyze(t, tol), tol)

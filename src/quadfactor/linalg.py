@@ -6,7 +6,7 @@ ascending, singular values descending, and no randomized algorithms are used.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Tuple
 
 import numpy as np
 
@@ -15,17 +15,13 @@ from .errors import NoWitnessError, NotPsdError
 __all__ = [
     "DEFAULT_TOL",
     "RANK_CUTOFF_SCALE",
-    "HermitianEig",
-    "Svd",
     "as_matrix",
     "frobenius",
-    "matmul",
-    "hermitian_eig",
-    "svd",
     "rank_cutoff",
     "operator_norm",
     "psd_check",
     "contraction_check",
+    "psd_contraction_flags",
     "sqrtm_psd",
     "pinv",
     "range_projection",
@@ -62,97 +58,11 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Exact dense product a @ b with a dimension check."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise ValueError(
-            "dimension mismatch: %r cannot multiply %r" % (ma.shape, mb.shape)
-        )
-    return ma @ mb
-
-
-class HermitianEig(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``vectors`` has orthonormal columns and ``eigenvalues`` is real and
-    ascending; ``vectors @ diag(eigenvalues) @ vectors.conj().T`` reproduces
-    the input.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-class Svd(NamedTuple):
-    """Full singular value decomposition ``left @ diag(s) @ right.conj().T``.
-
-    ``singular_values`` is descending.  ``rank`` counts values above the
-    relative cutoff; ``rank_deficient`` flags the presence of values at or
-    below it.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        shape = (self.left.shape[0], self.right.shape[0])
-        cut = rank_cutoff(self.singular_values, shape)
-        return int(np.count_nonzero(self.singular_values > cut))
-
-    @property
-    def rank_deficient(self) -> bool:
-        return self.rank < min(self.left.shape[0], self.right.shape[0])
-
-
 def rank_cutoff(singular_values, shape, scale: float = RANK_CUTOFF_SCALE) -> float:
     """Rank cutoff max(rows, cols) * scale * sigma_max for the given shape."""
     s = np.asarray(singular_values, dtype=float)
     smax = float(s[0]) if s.size else 0.0
     return max(shape) * scale * smax
-
-
-def hermitian_eig(h, tol: float = DEFAULT_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    h : array_like
-        Square matrix with ``norm(h - h*) <= tol * norm(h)`` (Frobenius).
-    tol : float
-        Hermiticity tolerance.
-
-    Returns
-    -------
-    HermitianEig
-        Real ascending eigenvalues and orthonormal eigenvectors.
-    """
-    m = as_matrix(h)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("hermitian_eig requires a square matrix, got %r" % (m.shape,))
-    herm_defect = frobenius(m - m.conj().T)
-    if herm_defect > tol * frobenius(m):
-        raise ValueError(
-            "matrix is not Hermitian within tolerance: defect %.3e > %.3e"
-            % (herm_defect, tol * frobenius(m))
-        )
-    sym = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    return HermitianEig(np.asarray(w, dtype=float), v)
-
-
-def svd(x) -> Svd:
-    """Full SVD with descending singular values.
-
-    ``left`` and ``right`` are square unitaries;
-    ``left @ Sigma @ right.conj().T`` (Sigma the rectangular diagonal of
-    ``singular_values``) reproduces the input.
-    """
-    m = as_matrix(x)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return Svd(u, np.asarray(s, dtype=float), vh.conj().T)
 
 
 def operator_norm(a) -> float:
@@ -179,15 +89,64 @@ def contraction_check(a, tol: float = DEFAULT_TOL) -> bool:
     return operator_norm(a) <= 1.0 + tol
 
 
+#: Rounding slack of the eigenvalue bound on the operator norm, in units of
+#: n * eps * max(1, |lambda|); it covers the error of eigvalsh and of the
+#: SVD that contraction_check would run.
+_NORM_SLACK = 4.0
+
+
+def psd_contraction_flags(h, tol: float = DEFAULT_TOL) -> Tuple[bool, bool]:
+    """``(psd_check(h, tol), contraction_check(h, tol))`` from one eigvalsh.
+
+    For ``h`` that passes the Hermitian test of ``psd_check``, the operator
+    norm lies within ``norm(h - h*) / 2`` (Frobenius) of
+    ``max(|lambda_min|, lambda_max)`` of the Hermitian part.  The
+    contraction flag is read from that interval, widened by a rounding
+    slack, when it lies wholly on one side of 1 + tol.  Otherwise, and for
+    every non-Hermitian ``h``, the flag comes from ``contraction_check``'s
+    SVD, so both flags always equal those of the two separate checks.
+    """
+    m = as_matrix(h)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError(
+            "psd_contraction_flags requires a square matrix, got %r" % (m.shape,)
+        )
+    skew = frobenius(m - m.conj().T)
+    if skew > tol * max(1.0, frobenius(m)):
+        return False, contraction_check(m, tol)
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+    spectral = max(-lam_min, lam_max)
+    spread = skew / 2.0 + _NORM_SLACK * n * np.finfo(float).eps * max(1.0, spectral)
+    if spectral + spread <= 1.0 + tol:
+        contraction = True
+    elif spectral - spread > 1.0 + tol:
+        contraction = False
+    else:
+        contraction = contraction_check(m, tol)
+    return lam_min >= -tol, contraction
+
+
 def sqrtm_psd(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
     Negative eigenvalues (round-off) are clamped to zero before the square
-    root, so inputs that pass ``psd_check`` are always accepted.
+    root, so inputs that pass ``psd_check`` are always accepted.  Raises
+    ValueError when ``norm(h - h*) > max(tol, 1e-8) * norm(h)`` (Frobenius).
     """
-    eig = hermitian_eig(h, tol=max(tol, 1e-8))
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    return (eig.vectors * np.sqrt(w)) @ eig.vectors.conj().T
+    m = as_matrix(h)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("sqrtm_psd requires a square matrix, got %r" % (m.shape,))
+    herm_tol = max(tol, 1e-8)
+    herm_defect = frobenius(m - m.conj().T)
+    if herm_defect > herm_tol * frobenius(m):
+        raise ValueError(
+            "matrix is not Hermitian within tolerance: defect %.3e > %.3e"
+            % (herm_defect, herm_tol * frobenius(m))
+        )
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def pinv(x, cutoff_scale: float = RANK_CUTOFF_SCALE) -> np.ndarray:

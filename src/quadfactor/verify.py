@@ -15,11 +15,10 @@ from .errors import CertificateError, NotUpperTriangularError
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
-    contraction_check,
     frobenius,
     operator_norm,
     pinv,
-    psd_check,
+    psd_contraction_flags,
     range_projection,
     sqrtm_psd,
 )
@@ -68,6 +67,11 @@ def verify_certificate(t, a, b, tol: float = DEFAULT_TOL) -> VerificationReport:
 
     Checks that A and B are PSD contractions (within tol) and that
     ``norm(A @ B - T)`` is at most ``tol * max(1, norm(T))`` (Frobenius).
+    Each flag means what ``psd_check`` and ``contraction_check`` decide.
+    A Hermitian factor costs one ``eigvalsh``, which gives both of its
+    flags; the SVD of ``contraction_check`` runs only for a factor that is
+    not Hermitian, or whose norm lies too close to 1 + tol for the
+    eigenvalue bound to decide (see ``psd_contraction_flags``).
     """
     mt, ma, mb = as_matrix(t), as_matrix(a), as_matrix(b)
     n = mt.shape[0]
@@ -75,10 +79,8 @@ def verify_certificate(t, a, b, tol: float = DEFAULT_TOL) -> VerificationReport:
         raise ValueError(
             "verify_certificate requires three square matrices of equal size"
         )
-    a_psd = psd_check(ma, tol)
-    a_con = contraction_check(ma, tol)
-    b_psd = psd_check(mb, tol)
-    b_con = contraction_check(mb, tol)
+    a_psd, a_con = psd_contraction_flags(ma, tol)
+    b_psd, b_con = psd_contraction_flags(mb, tol)
     residual = frobenius(ma @ mb - mt)
     passed = (
         a_psd and a_con and b_psd and b_con and residual <= tol * max(1.0, frobenius(mt))
@@ -638,9 +640,9 @@ def diagonal_block_factors(a, b, split: int, tol: float = DEFAULT_TOL):
         raise ValueError("factors must be square matrices of equal size")
     if not (0 < split < n):
         raise ValueError("split must satisfy 0 < split < n")
-    if not (psd_check(ma, tol) and contraction_check(ma, tol)):
+    if not all(psd_contraction_flags(ma, tol)):
         raise ValueError("first factor is not a PSD contraction within tolerance")
-    if not (psd_check(mb, tol) and contraction_check(mb, tol)):
+    if not all(psd_contraction_flags(mb, tol)):
         raise ValueError("second factor is not a PSD contraction within tolerance")
     t = ma @ mb
     lower = frobenius(t[split:, :split])

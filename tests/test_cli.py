@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report envelopes, serialization."""
 
+import collections
 import io
 import json
 import math
@@ -16,6 +17,9 @@ from quadfactor import (
     matrix_to_document,
     parse_matrix_text,
 )
+from quadfactor import canonical as canonical_module
+from quadfactor import cli as cli_module
+from quadfactor import factorize as factorize_module
 from quadfactor.cli import main
 
 COUNTEREXAMPLE = np.array([[9.0, 3.0], [0.0, 16.0]]) / 25.0
@@ -137,6 +141,38 @@ def test_factor_counterexample_exits_two(tmp_path, capsys):
         -0.024, abs=1e-12
     )
     assert report["payload"]["canonical"]["r"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, matrix",
+    [
+        ("check", FEASIBLE),
+        ("check", COUNTEREXAMPLE),
+        ("factor", FEASIBLE),
+        ("factor", COUNTEREXAMPLE),
+        ("canonical", FEASIBLE),
+    ],
+)
+def test_each_stage_runs_once_per_invocation(tmp_path, capsys, monkeypatch, command, matrix):
+    calls = collections.Counter()
+    stages = {
+        "detect_quadratic": canonical_module.detect_quadratic,
+        "canonicalize": canonical_module.canonicalize,
+        "assess_feasibility": factorize_module.assess_feasibility,
+    }
+    for name, fn in stages.items():
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        # the stages are looked up in the namespaces of the modules that call them
+        for module in (factorize_module, cli_module):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    path = write_matrix(tmp_path / "m.json", matrix)
+    code, _ = run_json(capsys, [command, "--input", path])
+    assert code in (0, 2)
+    assert calls["detect_quadratic"] == 1
+    assert calls["canonicalize"] == 1
+    assert calls["assess_feasibility"] <= 1
 
 
 def test_verify_rejects_missing_keys(tmp_path, capsys):

@@ -11,15 +11,13 @@ from quadfactor import (
     contraction_check,
     direct_sum,
     frobenius,
-    hermitian_eig,
     operator_norm,
     pinv,
     psd_check,
     range_projection,
     sqrtm_psd,
-    svd,
 )
-from quadfactor.linalg import matmul, rank_cutoff
+from quadfactor.linalg import rank_cutoff
 
 
 def random_complex(rng, rows, cols):
@@ -60,11 +58,6 @@ def test_frobenius_hand_value():
     assert frobenius([[3.0, 4.0]]) == pytest.approx(5.0, abs=1e-15)
 
 
-def test_matmul_checks_inner_dimension():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 def test_operator_norm_column_vector():
     # sqrt(0.3^2 + 0.5^2) = sqrt(0.34), worked out by hand
     got = operator_norm([[0.3], [0.5]])
@@ -79,68 +72,7 @@ def test_operator_norm_bounded_by_frobenius():
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition and SVD
-
-
-def test_hermitian_eig_hand_values():
-    # char poly of [[0.18, 0.3], [0.3, 0.5]] is l^2 - 0.68 l (det = 0),
-    # so the eigenvalues are exactly 0 and 0.68
-    eig = hermitian_eig([[0.18, 0.3], [0.3, 0.5]])
-    np.testing.assert_allclose(eig.eigenvalues, [0.0, 0.68], atol=1e-14)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_hermitian_eig_reconstructs_and_sorts():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(1, 9))
-        h = random_psd(rng, n) - rng.uniform(0.0, 2.0) * np.eye(n)
-        eig = hermitian_eig(h)
-        assert np.all(np.diff(eig.eigenvalues) >= 0.0)
-        recon = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
-        np.testing.assert_allclose(recon, h, atol=1e-10 * max(1.0, frobenius(h)))
-        gram = eig.vectors.conj().T @ eig.vectors
-        np.testing.assert_allclose(gram, np.eye(n), atol=1e-12)
-
-
-def test_hermitian_eig_unitary_invariance():
-    rng = np.random.default_rng(6)
-    h = random_psd(rng, 5)
-    q, _ = np.linalg.qr(random_complex(rng, 5, 5))
-    before = hermitian_eig(h).eigenvalues
-    after = hermitian_eig(q @ h @ q.conj().T).eigenvalues
-    np.testing.assert_allclose(after, before, atol=1e-10)
-
-
-@pytest.mark.parametrize("rows,cols", [(1, 1), (3, 2), (2, 5), (6, 6)])
-def test_svd_reconstructs(rows, cols):
-    rng = np.random.default_rng(100 * rows + cols)
-    m = random_complex(rng, rows, cols)
-    dec = svd(m)
-    k = min(rows, cols)
-    s = np.zeros((rows, cols))
-    s[:k, :k] = np.diag(dec.singular_values)
-    np.testing.assert_allclose(dec.left @ s @ dec.right.conj().T, m, atol=1e-12)
-    assert np.all(np.diff(dec.singular_values) <= 1e-15)
-    assert np.all(dec.singular_values >= 0.0)
-    np.testing.assert_allclose(
-        dec.left.conj().T @ dec.left, np.eye(rows), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        dec.right.conj().T @ dec.right, np.eye(cols), atol=1e-12
-    )
-
-
-def test_svd_rank_of_projector():
-    # a rank-2 orthogonal projector has singular values (1, 1, 0)
-    p = np.diag([1.0, 1.0, 0.0])
-    dec = svd(p)
-    assert dec.rank == 2
-    assert not dec.rank_deficient or dec.rank < 3
+# rank cutoff
 
 
 def test_rank_cutoff_scales_with_largest_value():
@@ -190,6 +122,11 @@ def test_sqrtm_psd_hand_value():
 def test_sqrtm_psd_clamps_round_off_negatives():
     r = sqrtm_psd([[-1e-12]])
     np.testing.assert_allclose(r, [[0.0]], atol=1e-6)
+
+
+def test_sqrtm_psd_rejects_non_hermitian():
+    with pytest.raises(ValueError):
+        sqrtm_psd([[0.0, 1.0], [0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------

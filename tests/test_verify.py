@@ -8,15 +8,22 @@ import pytest
 
 from quadfactor import (
     NotUpperTriangularError,
+    canonicalize,
+    contraction_check,
+    detect_quadratic,
     diagonal_block_factors,
     factor_2x2,
     factor_block,
+    factor_quadratic,
     feasibility_bound,
     necessary_conditions,
     oracle_2x2,
+    psd_check,
     random_quadratic,
     verify_certificate,
 )
+
+TOL = 1e-9
 
 
 def random_psd_contraction(rng, n, norm=None):
@@ -31,6 +38,42 @@ def rotated_pair(theta, s, t):
     c, sn = math.cos(theta), math.sin(theta)
     r = np.array([[c, -sn], [sn, c]])
     return r @ np.diag([s, t]) @ r.T
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def hermitian_with_spectrum(rng, eigenvalues):
+    q = haar_unitary(rng, len(eigenvalues))
+    h = (q * np.asarray(eigenvalues, dtype=float)) @ q.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+class DecompositionCounter:
+    """Counts the numpy.linalg eigvalsh and svd calls made from its creation
+    to the end of the test."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"eigvalsh": 0, "svd": 0}
+        for name in self.calls:
+            monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
+
+    def _wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+def assert_flags_match_reference(a, b):
+    """verify_certificate's four flags equal psd_check / contraction_check."""
+    n = a.shape[0]
+    report = verify_certificate(np.eye(n), a, b, TOL)
+    assert (report.a_psd, report.a_contraction) == (psd_check(a, TOL), contraction_check(a, TOL))
+    assert (report.b_psd, report.b_contraction) == (psd_check(b, TOL), contraction_check(b, TOL))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +134,91 @@ def test_verify_rejects_shape_mismatch():
         verify_certificate(np.eye(2), np.eye(3), np.eye(2))
     with pytest.raises(ValueError):
         verify_certificate(np.eye(2), np.eye(2), np.eye(3))
+
+
+def test_verify_flags_of_random_hermitian_factors_take_one_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        # spectra in [-1.5, 1.5]: contractions and expansions, PSD or not
+        a = hermitian_with_spectrum(rng, rng.uniform(-1.5, 1.5, size=n))
+        b = random_psd_contraction(rng, n)
+        report = assert_flags_match_reference(a, b)
+        seen.add((report.a_psd, report.a_contraction))
+        assert report.b_psd and report.b_contraction
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    a = hermitian_with_spectrum(rng, [0.0, 0.4, 1.0])
+    counter = DecompositionCounter(monkeypatch)
+    verify_certificate(np.eye(3), a, a)
+    assert counter.calls == {"eigvalsh": 2, "svd": 0}
+
+
+@pytest.mark.parametrize("offset", [-2.0 * TOL, -TOL / 2.0, TOL / 2.0, 2.0 * TOL])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_verify_flags_near_the_contraction_bound(monkeypatch, offset, sign):
+    rng = np.random.default_rng(43)
+    # the extreme eigenvalue is +-(1 + offset), the rest well inside
+    extreme = sign * (1.0 + offset)
+    a = hermitian_with_spectrum(rng, [0.2, 0.5, extreme, 0.0])
+    b = hermitian_with_spectrum(rng, [1.0 + offset, 0.3, 0.0, 0.7])
+    report = assert_flags_match_reference(a, b)
+    assert report.a_contraction == (offset <= TOL)
+    assert report.b_contraction == (offset <= TOL)
+    assert report.a_psd == (sign > 0.0) and report.b_psd
+    counter = DecompositionCounter(monkeypatch)
+    verify_certificate(np.eye(4), a, b, TOL)
+    assert counter.calls == {"eigvalsh": 2, "svd": 0}
+
+
+@pytest.mark.parametrize("offset", [-TOL / 8.0, 0.0, TOL / 8.0])
+def test_verify_flags_with_small_skew_part_fall_back_to_svd(monkeypatch, offset):
+    rng = np.random.default_rng(47)
+    h = hermitian_with_spectrum(rng, [1.0 + TOL + offset, 0.4, 0.1])
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    skew = g - g.conj().T
+    # Hermitian within tol, but the skew part (Frobenius norm tol / 4)
+    # blurs the eigenvalue bound on the norm across 1 + tol
+    a = h + skew * (TOL / 4.0 / np.linalg.norm(skew))
+    assert psd_check(a, TOL)
+    counter = DecompositionCounter(monkeypatch)
+    report = verify_certificate(np.eye(3), a, np.eye(3), TOL)
+    assert counter.calls == {"eigvalsh": 2, "svd": 1}
+    assert_flags_match_reference(a, np.eye(3))
+    assert report.a_psd
+
+
+@pytest.mark.parametrize(
+    "matrix, contraction",
+    [([[0.0, 1.0], [0.0, 0.0]], True), ([[0.0, 1.5], [0.0, 0.0]], False)],
+)
+def test_verify_flags_of_non_hermitian_factor(monkeypatch, matrix, contraction):
+    a = np.array(matrix)
+    report = assert_flags_match_reference(a, np.eye(2))
+    assert not report.a_psd
+    assert report.a_contraction == contraction
+    counter = DecompositionCounter(monkeypatch)
+    verify_certificate(np.eye(2), a, np.eye(2), TOL)
+    assert counter.calls == {"eigvalsh": 1, "svd": 1}
+
+
+def test_pipeline_coupled_block_matches_factor_block():
+    rng = np.random.default_rng(53)
+    for trial in range(8):
+        d1, d2 = (int(v) for v in rng.integers(0, 3, size=2))
+        r = int(rng.integers(1, 4))
+        a, b = rng.uniform(0.05, 0.95, size=2)
+        while abs(a - b) < 0.15:  # keep the eigenvalues well separated
+            a, b = rng.uniform(0.05, 0.95, size=2)
+        p = np.sort(rng.uniform(0.1, 0.9, size=r))[::-1] * feasibility_bound(a, b)
+        t = random_quadratic(d1, d2, r, a, b, p, seed=trial)
+        result = factor_quadratic(t)
+        form = canonicalize(t, detect_quadratic(t))
+        u, k = form.unitary, form.d1 + form.d2
+        block = factor_block(form.params.a.real, form.params.b.real, np.diag(form.p_values))
+        for factor, lifted in ((result.A, block.A), (result.B, block.B)):
+            coupled = (u.conj().T @ factor @ u)[k:, k:]
+            assert np.abs(coupled - lifted).max() <= TOL, trial
 
 
 # ---------------------------------------------------------------------------
