@@ -157,8 +157,16 @@ def canonicalize(
     the lower-right block to bI), and the SVD of the coupling X yields the
     strictly positive p_values together with the uncoupled summand sizes.
 
-    Raises NotQuadraticError when (T - aI)(T - bI) is not ~0, and
-    RankAmbiguousError when a rank decision is too close to call.
+    The result is checked once more: the compression residual
+    ``norm(T U - U C)`` (Frobenius, C the canonical matrix), which equals
+    ``norm(U* T U - C)`` for unitary U, must be at most
+    ``100 * max(tol, 1e-12) * max(1, norm(T))``.  It costs one n x n
+    product, since U C is U with its columns scaled plus the r coupling
+    columns.
+
+    Raises NotQuadraticError when (T - aI)(T - bI) is not ~0 or the
+    compression check fails, and RankAmbiguousError when a rank decision
+    is too close to call.
     ``_t2``, when given, is ``t @ t`` already computed by the caller.
     """
     m = as_matrix(t)
@@ -223,7 +231,12 @@ def canonicalize(
         p_values=p_values,
         unitary=unitary,
     )
-    compression = frobenius(unitary.conj().T @ m @ unitary - form.canonical_matrix())
+    # ||T U - U C|| equals ||U* T U - C|| for unitary U, and U C is U with
+    # scaled columns plus the coupling columns, so one gemm is enough
+    k = form.d1 + form.d2
+    unitary_canonical = unitary * np.repeat([a, b, a, b], [form.d1, form.d2, r, r])
+    unitary_canonical[:, k + r :] += unitary[:, k : k + r] * p_values
+    compression = frobenius(m @ unitary - unitary_canonical)
     if compression > 100.0 * max(tol, 1e-12) * max(1.0, norm_t):
         raise NotQuadraticError(
             "canonical compression failed (residual %.3e); input is not "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .canonical import CanonicalForm, QuadraticParams, canonicalize, detect_quadratic
 from .errors import CertificateError, InfeasibleError, NotPsdError
-from .linalg import DEFAULT_TOL, as_matrix, direct_sum, psd_check
+from .linalg import DEFAULT_TOL, as_matrix, psd_check
 from .verify import Factorization, verify_certificate
 
 __all__ = [
@@ -332,7 +332,10 @@ def assemble_full_factors(
     uncoupled summands contribute (aI) @ I and (bI) @ I.
 
     Returns (A, B) with A = U (aI (+) bI (+) block_a) U* and
-    B = U (I (+) I (+) block_b) U*.
+    B = U (I (+) I (+) block_b) U*.  Each product U core is formed without
+    an n x n product: the d1 + d2 uncoupled columns of U are scaled, and
+    only the 2r coupled columns U_c are multiplied, by U_c @ block.  So
+    each factor costs one n x n product, (U core) @ U*.
     """
     ba = np.asarray(block_a, dtype=complex)
     bb = np.asarray(block_b, dtype=complex)
@@ -342,11 +345,16 @@ def assemble_full_factors(
             "coupled-block factors must be %dx%d, got %r and %r"
             % (two_r, two_r, ba.shape, bb.shape)
         )
-    a, b = form.params.a, form.params.b
-    core_a = direct_sum(a * np.eye(form.d1), b * np.eye(form.d2), ba)
-    core_b = direct_sum(np.eye(form.d1), np.eye(form.d2), bb)
-    u = form.unitary
-    return u @ core_a @ u.conj().T, u @ core_b @ u.conj().T
+    u = np.asarray(form.unitary, dtype=complex)
+    k = form.d1 + form.d2
+    coupled = u[:, k:]
+    u_core_a = np.empty_like(u)
+    u_core_a[:, :k] = u[:, :k] * np.repeat([form.params.a, form.params.b], [form.d1, form.d2])
+    u_core_a[:, k:] = coupled @ ba
+    u_core_b = u.copy()
+    u_core_b[:, k:] = coupled @ bb
+    adjoint = u.conj().T
+    return u_core_a @ adjoint, u_core_b @ adjoint
 
 
 @dataclass(frozen=True, eq=False)

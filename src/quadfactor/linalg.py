@@ -95,16 +95,64 @@ def contraction_check(a, tol: float = DEFAULT_TOL) -> bool:
 _NORM_SLACK = 4.0
 
 
-def psd_contraction_flags(h, tol: float = DEFAULT_TOL) -> Tuple[bool, bool]:
-    """``(psd_check(h, tol), contraction_check(h, tol))`` from one eigvalsh.
+def _cholesky_proves_flags(sym: np.ndarray, skew: float, tol: float) -> bool:
+    """True when two Cholesky factorizations prove both flags True.
 
-    For ``h`` that passes the Hermitian test of ``psd_check``, the operator
-    norm lies within ``norm(h - h*) / 2`` (Frobenius) of
-    ``max(|lambda_min|, lambda_max)`` of the Hermitian part.  The
-    contraction flag is read from that interval, widened by a rounding
-    slack, when it lies wholly on one side of 1 + tol.  Otherwise, and for
-    every non-Hermitian ``h``, the flag comes from ``contraction_check``'s
-    SVD, so both flags always equal those of the two separate checks.
+    Factors ``sym + lo*I`` and ``hi*I - sym`` one at a time (a stacked
+    call would hold four n x n copies at once).  Returns False, proving
+    nothing, when either fails or when the shifts leave no room.
+    """
+    n = sym.shape[0]
+    eps = np.finfo(float).eps
+    slack = _NORM_SLACK * n * eps
+    backward = 4.0 * (n + 2) * n * eps * (1.0 + 2.0 * tol)
+    lo = tol - backward - slack
+    hi = 1.0 + tol - skew / 2.0 - backward - 2.0 * slack
+    # lo <= hi keeps max(|lambda_min|, lambda_max) below hi + backward
+    if not 0.0 < lo <= hi:
+        return False
+    shifted = sym.copy()
+    diagonal = shifted.reshape(-1)[:: n + 1]
+    diagonal += lo
+    try:
+        np.linalg.cholesky(shifted)
+        np.negative(sym, out=shifted)
+        diagonal += hi
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def psd_contraction_flags(h, tol: float = DEFAULT_TOL) -> Tuple[bool, bool]:
+    """``(psd_check(h, tol), contraction_check(h, tol))`` at the least cost.
+
+    Three tiers, each giving the flags the two separate checks give.  Let
+    ``skew = norm(h - h*)`` (Frobenius) and ``sym`` be the Hermitian part.
+
+    1. Cholesky, for ``h`` that passes the Hermitian test of ``psd_check``.
+       ``np.linalg.cholesky`` runs on ``sym + lo*I`` and on ``hi*I - sym``,
+       with ``lo = tol - c - s`` and ``hi = 1 + tol - skew/2 - c - 2s``,
+       where ``s = 4*n*eps`` is the rounding slack of tier 2 and
+       ``c = 4*(n+2)*n*eps*(1 + 2*tol)``.  A Cholesky factorization that
+       succeeds in floating point is exact for a Hermitian matrix within
+       ``gamma_(n+2) * norm(R)_F**2`` of its input (Higham, *Accuracy and
+       Stability of Numerical Algorithms*, 2nd ed., Thm 10.3, with n+2 for
+       complex arithmetic; Demmel, LAPACK Working Note 14, 1989), and
+       ``norm(R)_F**2`` is about the trace of the input.  When both
+       succeed, every diagonal entry of ``sym`` lies in ``(-lo, hi)``, so
+       each trace is at most ``n * (1 + 2*tol)`` and ``c`` bounds the
+       backward error about eightfold.  So the spectrum of ``sym`` lies in
+       ``[-tol + s, 1 + tol - skew/2 - 2s]``: both flags are True, with
+       ``s`` to spare for the rounding of the eigvalsh and SVD of the
+       reference checks.  A failed factorization, ``lo <= 0`` (n above
+       about 1000 at the default tol) or ``lo > hi`` passes to tier 2.
+    2. One eigvalsh.  The operator norm lies within ``skew / 2`` of
+       ``max(|lambda_min|, lambda_max)`` of ``sym``.  The contraction flag
+       is read from that interval, widened by ``s * max(1, |lambda|)``,
+       when it lies wholly on one side of 1 + tol.
+    3. SVD.  Otherwise, and for every non-Hermitian ``h``, the contraction
+       flag comes from ``contraction_check``'s SVD.
     """
     m = as_matrix(h)
     n = m.shape[0]
@@ -112,10 +160,14 @@ def psd_contraction_flags(h, tol: float = DEFAULT_TOL) -> Tuple[bool, bool]:
         raise ValueError(
             "psd_contraction_flags requires a square matrix, got %r" % (m.shape,)
         )
-    skew = frobenius(m - m.conj().T)
+    adjoint = m.conj().T
+    skew = frobenius(m - adjoint)
     if skew > tol * max(1.0, frobenius(m)):
         return False, contraction_check(m, tol)
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    sym = (m + adjoint) / 2.0
+    if _cholesky_proves_flags(sym, skew, tol):
+        return True, True
+    eigs = np.linalg.eigvalsh(sym)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     spectral = max(-lam_min, lam_max)
     spread = skew / 2.0 + _NORM_SLACK * n * np.finfo(float).eps * max(1.0, spectral)
@@ -171,6 +223,14 @@ def range_projection(x, cutoff_scale: float = RANK_CUTOFF_SCALE) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def _sqrt_witness(a11, a12, a22, tol: float, cutoff_scale: float = RANK_CUTOFF_SCALE):
+    """``(sqrt(A11), sqrt(A22), D)`` with ``D = pinv(sqrt(A11)) @ A12 @
+    pinv(sqrt(A22))``, both pseudo-inverses cut at ``cutoff_scale``."""
+    r1 = sqrtm_psd(a11, tol)
+    r2 = sqrtm_psd(a22, tol)
+    return r1, r2, pinv(r1, cutoff_scale) @ a12 @ pinv(r2, cutoff_scale)
+
+
 def block_positivity_witness(a11, a12, a22, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Contraction witness for positivity of ``[[A11, A12], [A12*, A22]]``.
 
@@ -194,9 +254,7 @@ def block_positivity_witness(a11, a12, a22, tol: float = DEFAULT_TOL) -> np.ndar
         raise NotPsdError("upper-left block is not PSD within tolerance")
     if not psd_check(m22, tol):
         raise NotPsdError("lower-right block is not PSD within tolerance")
-    r1 = sqrtm_psd(m11, tol)
-    r2 = sqrtm_psd(m22, tol)
-    d = pinv(r1) @ m12 @ pinv(r2)
+    r1, r2, d = _sqrt_witness(m11, m12, m22, tol)
     assembled = np.block([[m11, m12], [m12.conj().T, m22]])
     scale = max(1.0, frobenius(assembled))
     residual = frobenius(m12 - r1 @ d @ r2)

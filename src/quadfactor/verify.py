@@ -14,13 +14,12 @@ from .canonical import canonical_matrix
 from .errors import CertificateError, NotUpperTriangularError
 from .linalg import (
     DEFAULT_TOL,
+    _sqrt_witness,
     as_matrix,
     frobenius,
     operator_norm,
-    pinv,
     psd_contraction_flags,
     range_projection,
-    sqrtm_psd,
 )
 
 __all__ = [
@@ -68,9 +67,11 @@ def verify_certificate(t, a, b, tol: float = DEFAULT_TOL) -> VerificationReport:
     Checks that A and B are PSD contractions (within tol) and that
     ``norm(A @ B - T)`` is at most ``tol * max(1, norm(T))`` (Frobenius).
     Each flag means what ``psd_check`` and ``contraction_check`` decide.
-    A Hermitian factor costs one ``eigvalsh``, which gives both of its
-    flags; the SVD of ``contraction_check`` runs only for a factor that is
-    not Hermitian, or whose norm lies too close to 1 + tol for the
+    A Hermitian factor whose spectrum lies inside ``[-tol, 1 + tol]`` by
+    more than the rounding error costs two Cholesky factorizations, which
+    prove both of its flags True.  Otherwise one ``eigvalsh`` gives both
+    flags, and the SVD of ``contraction_check`` runs only for a factor that
+    is not Hermitian, or whose norm lies too close to 1 + tol for the
     eigenvalue bound to decide (see ``psd_contraction_flags``).
     """
     mt, ma, mb = as_matrix(t), as_matrix(a), as_matrix(b)
@@ -609,16 +610,16 @@ def _corner_factors(a_mat: np.ndarray, b_mat: np.ndarray, split: int, tol: float
     For PSD contractions A, B whose product is block upper triangular at
     ``split``, the upper-left block T1 factors as
     ``sqrt(A1) (I - D P D*) sqrt(A1) @ B1`` where D is the contraction
-    witness of A's off-diagonal block and P projects onto ran(sqrt(A2)).
+    witness of A's off-diagonal block (built as in
+    ``block_positivity_witness``, with the looser pseudo-inverse cutoff
+    ``CORNER_CUTOFF_SCALE``) and P projects onto ran(sqrt(A2)).
     """
     s = split
     a1 = a_mat[:s, :s]
     a12 = a_mat[:s, s:]
     a2 = a_mat[s:, s:]
     b1 = b_mat[:s, :s]
-    r1 = sqrtm_psd(a1, tol)
-    r2 = sqrtm_psd(a2, tol)
-    d = pinv(r1, CORNER_CUTOFF_SCALE) @ a12 @ pinv(r2, CORNER_CUTOFF_SCALE)
+    r1, r2, d = _sqrt_witness(a1, a12, a2, tol, CORNER_CUTOFF_SCALE)
     proj = range_projection(r2, CORNER_CUTOFF_SCALE)
     kk = d @ proj @ d.conj().T  # K*K for K = proj @ D*
     first = r1 @ (np.eye(s) - kk) @ r1

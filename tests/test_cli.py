@@ -20,6 +20,7 @@ from quadfactor import (
 from quadfactor import canonical as canonical_module
 from quadfactor import cli as cli_module
 from quadfactor import factorize as factorize_module
+from quadfactor import io as io_module
 from quadfactor.cli import main
 
 COUNTEREXAMPLE = np.array([[9.0, 3.0], [0.0, 16.0]]) / 25.0
@@ -286,6 +287,34 @@ def test_oracle_subcommand(capsys):
     assert payload["evaluations"] >= 4 ** 6
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["oracle", "0.36", "0.64", "0.05", "--budget", "2000001"], "2000000"),
+        (["bound", "--grid", "501"], "500"),
+    ],
+)
+def test_cost_limits_refuse_one_step_past(capsys, monkeypatch, argv, limit):
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran despite the limit")
+
+    monkeypatch.setattr(cli_module, "oracle_2x2", never)
+    monkeypatch.setattr(cli_module, "feasibility_bound", never)
+    code, report = run_json(capsys, argv)
+    assert code == 1
+    assert report["verdict"] == "error"
+    assert "exceeds the limit of %s" % limit in report["payload"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, text", [("oracle", "at most 2000000"), ("bound", "N <= 500")]
+)
+def test_cost_limits_are_documented_in_help(capsys, command, text):
+    code, out = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    assert text in " ".join(out.split())
+
+
 # ---------------------------------------------------------------------------
 # stdin, output failures
 
@@ -389,3 +418,31 @@ def test_format_json_types():
     )
     with pytest.raises(TypeError):
         format_json({"bad": {1, 2}})
+
+
+def _recursive_json(obj, monkeypatch):
+    """format_json with the float-pair fast path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(io_module, "_is_float_pairs", lambda items: False)
+        return format_json(obj)
+
+
+def test_format_json_float_pairs_match_recursive_renderer(monkeypatch):
+    values = [-0.0, 0.0, 5e-324, 1e308, 1.0, -1.5, 1.0 / 3.0, math.pi, 1e16, 1e-300]
+    pairs = [[re, im] for re in values for im in values]
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    documents = [
+        pairs,
+        matrix_to_document(matrix),
+        {"outer": {"data": pairs, "count": 3, "flag": True}, "empty": []},
+        # not float pairs: ints, bools, numpy floats and a triple stay recursive
+        [[1, 2.0], [True, 0.5]],
+        [[np.float64(0.25), 1.0]],
+        [[0.5, 1.0, 2.0]],
+        [(0.5, 1.0)],
+    ]
+    for doc in documents:
+        assert format_json(doc) == _recursive_json(doc, monkeypatch)
+    assert format_json([[-0.0, 5e-324]]) == "[[-0, 4.9406564584124654e-324]]"
+    assert format_json([[True, 0.5]]) == "[[true, 0.5]]"

@@ -22,6 +22,7 @@ from quadfactor import (
     random_quadratic,
     verify_certificate,
 )
+from quadfactor.linalg import psd_contraction_flags
 
 TOL = 1e-9
 
@@ -52,11 +53,11 @@ def hermitian_with_spectrum(rng, eigenvalues):
 
 
 class DecompositionCounter:
-    """Counts the numpy.linalg eigvalsh and svd calls made from its creation
-    to the end of the test."""
+    """Counts the numpy.linalg cholesky, eigvalsh and svd calls made from its
+    creation to the end of the test (failed factorizations included)."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"eigvalsh": 0, "svd": 0}
+        self.calls = {"cholesky": 0, "eigvalsh": 0, "svd": 0}
         for name in self.calls:
             monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
 
@@ -136,7 +137,7 @@ def test_verify_rejects_shape_mismatch():
         verify_certificate(np.eye(2), np.eye(2), np.eye(3))
 
 
-def test_verify_flags_of_random_hermitian_factors_take_one_eigvalsh(monkeypatch):
+def test_verify_flags_of_random_hermitian_factors_take_two_choleskys(monkeypatch):
     rng = np.random.default_rng(41)
     seen = set()
     for _ in range(40):
@@ -151,7 +152,7 @@ def test_verify_flags_of_random_hermitian_factors_take_one_eigvalsh(monkeypatch)
     a = hermitian_with_spectrum(rng, [0.0, 0.4, 1.0])
     counter = DecompositionCounter(monkeypatch)
     verify_certificate(np.eye(3), a, a)
-    assert counter.calls == {"eigvalsh": 2, "svd": 0}
+    assert counter.calls == {"cholesky": 4, "eigvalsh": 0, "svd": 0}
 
 
 @pytest.mark.parametrize("offset", [-2.0 * TOL, -TOL / 2.0, TOL / 2.0, 2.0 * TOL])
@@ -168,7 +169,15 @@ def test_verify_flags_near_the_contraction_bound(monkeypatch, offset, sign):
     assert report.a_psd == (sign > 0.0) and report.b_psd
     counter = DecompositionCounter(monkeypatch)
     verify_certificate(np.eye(4), a, b, TOL)
-    assert counter.calls == {"eigvalsh": 2, "svd": 0}
+    # Cholesky proves a factor that lies inside the bounds; otherwise the
+    # first failing factorization hands over to eigvalsh
+    a_proved = sign > 0.0 and offset < TOL
+    b_proved = offset < TOL
+    assert counter.calls == {
+        "cholesky": (2 if sign > 0.0 else 1) + 2,
+        "eigvalsh": (not a_proved) + (not b_proved),
+        "svd": 0,
+    }
 
 
 @pytest.mark.parametrize("offset", [-TOL / 8.0, 0.0, TOL / 8.0])
@@ -183,7 +192,7 @@ def test_verify_flags_with_small_skew_part_fall_back_to_svd(monkeypatch, offset)
     assert psd_check(a, TOL)
     counter = DecompositionCounter(monkeypatch)
     report = verify_certificate(np.eye(3), a, np.eye(3), TOL)
-    assert counter.calls == {"eigvalsh": 2, "svd": 1}
+    assert counter.calls == {"cholesky": 4, "eigvalsh": 1, "svd": 1}
     assert_flags_match_reference(a, np.eye(3))
     assert report.a_psd
 
@@ -199,7 +208,39 @@ def test_verify_flags_of_non_hermitian_factor(monkeypatch, matrix, contraction):
     assert report.a_contraction == contraction
     counter = DecompositionCounter(monkeypatch)
     verify_certificate(np.eye(2), a, np.eye(2), TOL)
-    assert counter.calls == {"eigvalsh": 1, "svd": 1}
+    assert counter.calls == {"cholesky": 2, "eigvalsh": 0, "svd": 1}
+
+
+@pytest.mark.parametrize("n", [2, 64, 300])
+def test_psd_contraction_flags_at_the_bounds_match_reference(monkeypatch, n):
+    rng = np.random.default_rng(59 + n)
+    q = haar_unitary(rng, n)
+    inner = rng.uniform(0.1, 0.9, size=n - 1)
+    eps = np.finfo(float).eps
+    counter = DecompositionCounter(monkeypatch)
+    for edge, inside in ((-TOL, 1.0), (1.0 + TOL, -1.0)):
+        for delta in (0.0, n * eps, -n * eps, 1e-11, -1e-11):
+            h = (q * np.append(inner, edge + delta)) @ q.conj().T
+            h = (h + h.conj().T) / 2.0
+            before = counter.calls["eigvalsh"]
+            flags = psd_contraction_flags(h, TOL)
+            proved_by_cholesky = counter.calls["eigvalsh"] == before
+            assert flags == (psd_check(h, TOL), contraction_check(h, TOL)), (edge, delta)
+            if n == 2 and delta == inside * 1e-11:
+                # 1e-11 inside the bound is room enough for the Cholesky tier
+                assert flags == (True, True)
+                assert proved_by_cholesky
+
+
+def test_psd_contraction_flags_cholesky_tier_declines_below_its_backward_error(monkeypatch):
+    # at tol = 1e-14 the Cholesky backward error at n = 64 exceeds tol, so
+    # the tier has no room (lo <= 0) and eigvalsh decides
+    rng = np.random.default_rng(61)
+    h = hermitian_with_spectrum(rng, rng.uniform(0.1, 0.9, size=64))
+    counter = DecompositionCounter(monkeypatch)
+    flags = psd_contraction_flags(h, 1e-14)
+    assert counter.calls == {"cholesky": 0, "eigvalsh": 1, "svd": 0}
+    assert flags == (psd_check(h, 1e-14), contraction_check(h, 1e-14)) == (True, True)
 
 
 def test_pipeline_coupled_block_matches_factor_block():
