@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotQuadraticError, RankAmbiguousError
-from .linalg import DEFAULT_TOL, RANK_CUTOFF_SCALE, as_matrix, frobenius
+from .linalg import _EPS, DEFAULT_TOL, RANK_CUTOFF_SCALE, as_matrix, frobenius
 
 __all__ = [
     "QuadraticParams",
@@ -86,7 +86,15 @@ def canonical_matrix(a, b, d1: int, d2: int, r: int, p_values) -> np.ndarray:
     return out
 
 
-def detect_quadratic(t, tol: float = DEFAULT_TOL, *, _t2=None):
+def _square_matrix(t, stage: str) -> np.ndarray:
+    """``as_matrix(t)``, which must be square; the ValueError names ``stage``."""
+    m = as_matrix(t)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("%s requires a square matrix" % stage)
+    return m
+
+
+def detect_quadratic(t, tol: float = DEFAULT_TOL) -> QuadraticParams:
     """Identify the minimal quadratic satisfied by ``t``.
 
     Solves the least-squares system vec(T^2) = s vec(T) - p vec(I) and
@@ -94,15 +102,18 @@ def detect_quadratic(t, tol: float = DEFAULT_TOL, *, _t2=None):
     ``tol * max(1, norm(T)^2)``.  Scalar matrices short-circuit to a = b.
 
     Returns QuadraticParams; raises NotQuadraticError when no monic
-    quadratic fits.  ``_t2``, when given, is ``t @ t`` already computed
-    by the caller.
+    quadratic fits.
     """
-    m = as_matrix(t)
+    m = _square_matrix(t, "detect_quadratic")
+    return _detect_quadratic(m, m @ m, frobenius(m), tol)
+
+
+def _detect_quadratic(
+    m: np.ndarray, square: np.ndarray, norm_t: float, tol: float
+) -> QuadraticParams:
+    """``detect_quadratic`` on a validated square ``m``, given ``m @ m``
+    and ``frobenius(m)``."""
     n = m.shape[0]
-    if n != m.shape[1]:
-        raise ValueError("detect_quadratic requires a square matrix")
-    square = m @ m if _t2 is None else _t2
-    norm_t = frobenius(m)
     eye = np.eye(n)
     alpha = complex(np.trace(m) / n)
     if frobenius(m - alpha * eye) <= tol * max(1.0, norm_t):
@@ -123,7 +134,7 @@ def detect_quadratic(t, tol: float = DEFAULT_TOL, *, _t2=None):
     # a repeated root makes the discriminant vanish; square-rooting its
     # round-off would smear spurious imaginary parts of order sqrt(eps)
     # into the roots, so snap near-zero discriminants to exactly zero
-    if abs(disc) <= 64.0 * np.finfo(float).eps * (abs(s) ** 2 + 4.0 * abs(p)):
+    if abs(disc) <= 64.0 * _EPS * (abs(s) ** 2 + 4.0 * abs(p)):
         disc = 0.0
     root = np.sqrt(disc)
     a, b = (s - root) / 2.0, (s + root) / 2.0
@@ -147,9 +158,7 @@ def _guard_rank_gap(singular_values, cutoff: float) -> None:
         )
 
 
-def canonicalize(
-    t, params: QuadraticParams, tol: float = DEFAULT_TOL, *, _t2=None
-) -> CanonicalForm:
+def canonicalize(t, params: QuadraticParams, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Reduce a quadratic matrix to canonical form.
 
     The eigenspace M = ker(T - aI) is extracted by SVD; on M (+) M_perp the
@@ -167,16 +176,19 @@ def canonicalize(
     Raises NotQuadraticError when (T - aI)(T - bI) is not ~0 or the
     compression check fails, and RankAmbiguousError when a rank decision
     is too close to call.
-    ``_t2``, when given, is ``t @ t`` already computed by the caller.
     """
-    m = as_matrix(t)
+    m = _square_matrix(t, "canonicalize")
+    return _canonicalize(m, m @ m, frobenius(m), params, tol)
+
+
+def _canonicalize(
+    m: np.ndarray, square: np.ndarray, norm_t: float, params: QuadraticParams, tol: float
+) -> CanonicalForm:
+    """``canonicalize`` on a validated square ``m``, given ``m @ m`` and
+    ``frobenius(m)``."""
     n = m.shape[0]
-    if n != m.shape[1]:
-        raise ValueError("canonicalize requires a square matrix")
     a, b = params.a, params.b
-    norm_t = frobenius(m)
     eye = np.eye(n)
-    square = m @ m if _t2 is None else _t2
     relation = frobenius(square - (a + b) * m + (a * b) * eye)
     del square  # T^2 is not needed past the relation check
     if relation > tol * max(1.0, norm_t * norm_t):

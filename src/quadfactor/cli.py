@@ -46,6 +46,11 @@ __all__ = ["build_parser", "main"]
 ORACLE_BUDGET_LIMIT = 2_000_000
 #: Largest ``bound --grid``: N^2 CSV lines are built in memory.
 GRID_LIMIT = 500
+#: Largest matrix dimension: the rows and cols of an input matrix, and
+#: ``gen``'s n = d1 + d2 + 2r.  Factoring at n = 2000 takes about 17 s and
+#: 0.6-0.8 GB with one BLAS thread (scaled from n = 750).
+SIZE_LIMIT = 2000
+_SIZE_COST = "about 17 s and 0.6-0.8 GB to factor at n = %d" % SIZE_LIMIT
 
 
 def _add_tol(parser) -> None:
@@ -58,7 +63,11 @@ def _add_tol(parser) -> None:
 
 
 def _add_input(parser) -> None:
-    parser.add_argument("--input", help="read from this path instead of stdin")
+    parser.add_argument(
+        "--input",
+        help="read from this path instead of stdin; a matrix may have at most "
+        "%d rows and cols (%s)" % (SIZE_LIMIT, _SIZE_COST),
+    )
 
 
 def _add_output(parser) -> None:
@@ -115,7 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a factorization certificate")
     _add_tol(p), _add_input(p), _add_output(p)
 
-    p = sub.add_parser("gen", help="generate a random quadratic matrix")
+    p = sub.add_parser(
+        "gen",
+        help="generate a random quadratic matrix",
+        description="Generate a random quadratic matrix of size n = d1 + d2 + 2r "
+        "<= %d (%s)." % (SIZE_LIMIT, _SIZE_COST),
+    )
     p.add_argument("d1", type=int, help="multiplicity of the pure a-eigenspace")
     p.add_argument("d2", type=int, help="multiplicity of the pure b-eigenspace")
     p.add_argument("r", type=int, help="number of coupled 2x2 blocks")
@@ -135,8 +149,35 @@ def _read_text(args) -> str:
     return sys.stdin.read()
 
 
+def _check_size(name: str, value) -> None:
+    """Refuse a declared matrix dimension above SIZE_LIMIT before anything
+    is built; a value that is not an integer is left to the parser."""
+    try:
+        size = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return
+    if size > SIZE_LIMIT:
+        raise ValueError("%s = %d exceeds the limit of %d" % (name, size, SIZE_LIMIT))
+
+
+def _document_matrix(doc) -> np.ndarray:
+    """The matrix of a matrix document found in ``doc``, size checked."""
+    doc = extract_matrix_document(doc)
+    _check_size("matrix rows", doc["rows"])
+    _check_size("matrix cols", doc["cols"])
+    return document_to_matrix(doc)
+
+
 def _read_matrix(args) -> np.ndarray:
-    return parse_matrix_text(_read_text(args))
+    """The input matrix, a JSON document or plain text (see
+    ``parse_matrix_text``), size checked."""
+    text = _read_text(args)
+    stripped = text.strip()
+    if stripped[:1] in ("{", "["):
+        return _document_matrix(json.loads(stripped))
+    if stripped:
+        _check_size("matrix dimension n", stripped.split(None, 1)[0])
+    return parse_matrix_text(text)
 
 
 def _write(args, text: str) -> None:
@@ -286,15 +327,16 @@ def _cmd_verify(args) -> RunReport:
     missing = [key for key in ("t", "a", "b") if key not in doc]
     if missing:
         raise ValueError("verify input lacks keys: %s" % ", ".join(missing))
-    t = document_to_matrix(extract_matrix_document(doc["t"]))
-    factor_a = document_to_matrix(extract_matrix_document(doc["a"]))
-    factor_b = document_to_matrix(extract_matrix_document(doc["b"]))
+    t = _document_matrix(doc["t"])
+    factor_a = _document_matrix(doc["a"])
+    factor_b = _document_matrix(doc["b"])
     report = verify_certificate(t, factor_a, factor_b, args.tol)
     verdict = "ok" if report.passed else "error"
     return RunReport("verify", verdict, {"report": _verification_payload(report)})
 
 
 def _cmd_gen(args) -> RunReport:
+    _check_size("gen dimension n = d1 + d2 + 2r", args.d1 + args.d2 + 2 * args.r)
     t = random_quadratic(args.d1, args.d2, args.r, args.a, args.b, args.p, args.seed)
     payload = {
         "d1": args.d1,

@@ -12,15 +12,21 @@ pipeline with a machine-checkable certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .canonical import CanonicalForm, QuadraticParams, canonicalize, detect_quadratic
+from .canonical import (
+    CanonicalForm,
+    QuadraticParams,
+    _canonicalize,
+    _detect_quadratic,
+    _square_matrix,
+)
 from .errors import CertificateError, InfeasibleError, NotPsdError
-from .linalg import DEFAULT_TOL, as_matrix, psd_check
-from .verify import Factorization, verify_certificate
+from .linalg import DEFAULT_TOL, as_matrix, frobenius, psd_check
+from .verify import Factorization, _verify_certificate, verify_certificate
 
 __all__ = [
     "feasibility_bound",
@@ -265,20 +271,29 @@ def _closed_form_entries(a: float, b: float, values, tol: float) -> np.ndarray:
     return np.array([f.a_entries + f.b_entries for f in scalars], dtype=float).reshape(-1, 6).T
 
 
-def _diagonal_grid(upper, cross, lower) -> np.ndarray:
-    """The Hermitian 2x2 grid [[diag(upper), diag(cross)], [diag(cross), diag(lower)]].
+def _coupled_block_factors(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Both factors of the coupled block,
+    ``A = [[diag(a11), diag(a12)], [diag(a12), diag(a22)]]`` and B alike,
+    from the (6, r) rows of ``_closed_form_entries``.
 
-    Built by index rather than with ``np.block``, whose fixed cost is a
-    noticeable share of a factor_quadratic call at n = 2.
+    Complex, as the assembly needs them, and each written with one indexed
+    assignment: ``np.block`` of ``np.diag`` blocks, or one assignment per
+    diagonal, is a noticeable share of a factor_quadratic call at n = 2.
+    The two are separate arrays: freeing one stacked array (8 MB at
+    n = 750) raised glibc's dynamic mmap threshold above the pipeline's
+    later temporaries, which then stayed on the heap, and the peak RSS of
+    a ``pipeline-large`` benchmark run grew by about 6.5 MB.
     """
-    r = len(upper)
-    out = np.zeros((2 * r, 2 * r))
+    r = entries.shape[1]
     idx = np.arange(r)
-    out[idx, idx] = upper
-    out[idx, idx + r] = cross
-    out[idx + r, idx] = cross
-    out[idx + r, idx + r] = lower
-    return out
+    blocks = []
+    for rows in (entries[[0, 1, 1, 2]], entries[[3, 4, 4, 5]]):
+        # grid[p, i, q, j] is entry (p*r + i, q*r + j); the index arrays are
+        # split by a slice, so the target's axes are ordered (i, p, q)
+        grid = np.zeros((2, r, 2, r), dtype=complex)
+        grid[:, idx, :, idx] = rows.T.reshape(r, 2, 2)
+        blocks.append(grid.reshape(2 * r, 2 * r))
+    return blocks[0], blocks[1]
 
 
 def factor_block(a: float, b: float, p, tol: float = DEFAULT_TOL) -> Factorization:
@@ -345,38 +360,52 @@ def assemble_full_factors(
             "coupled-block factors must be %dx%d, got %r and %r"
             % (two_r, two_r, ba.shape, bb.shape)
         )
+    return _assemble_full_factors(form, form.params.a, form.params.b, ba, bb)
+
+
+def _assemble_full_factors(
+    form: CanonicalForm, a, b, block_a: np.ndarray, block_b: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``assemble_full_factors`` with the roots (a, b) given apart from
+    ``form``, and complex blocks of the right shape."""
     u = np.asarray(form.unitary, dtype=complex)
     k = form.d1 + form.d2
     coupled = u[:, k:]
     u_core_a = np.empty_like(u)
-    u_core_a[:, :k] = u[:, :k] * np.repeat([form.params.a, form.params.b], [form.d1, form.d2])
-    u_core_a[:, k:] = coupled @ ba
+    u_core_a[:, :k] = u[:, :k] * np.repeat([a, b], [form.d1, form.d2])
+    u_core_a[:, k:] = coupled @ block_a
     u_core_b = u.copy()
-    u_core_b[:, k:] = coupled @ bb
+    u_core_b[:, k:] = coupled @ block_b
     adjoint = u.conj().T
     return u_core_a @ adjoint, u_core_b @ adjoint
 
 
 @dataclass(frozen=True, eq=False)
 class _Analysis:
-    """Detection, canonical form and feasibility decision for one matrix."""
+    """Detection, canonical form and feasibility decision for one matrix,
+    with its Frobenius norm."""
 
     matrix: np.ndarray
+    norm: float
     params: QuadraticParams
     form: CanonicalForm
     feasibility: FeasibilityReport
 
 
 def _analyze(t, tol: float) -> _Analysis:
-    """Detect, canonicalize and assess ``t``, computing T^2 once for the
-    first two stages."""
-    m = as_matrix(t)
+    """Detect, canonicalize and assess ``t``.
+
+    ``t`` is validated once, and T^2 and norm(T) are computed once for the
+    stages that use them.
+    """
+    m = _square_matrix(t, "detect_quadratic")
     t2 = m @ m
-    params = detect_quadratic(m, tol, _t2=t2)
-    form = canonicalize(m, params, tol, _t2=t2)
+    norm_t = frobenius(m)
+    params = _detect_quadratic(m, t2, norm_t, tol)
+    form = _canonicalize(m, t2, norm_t, params, tol)
     p_norm = float(form.p_values[0]) if form.r > 0 else 0.0
     report = assess_feasibility(params.a, params.b, p_norm, tol)
-    return _Analysis(matrix=m, params=params, form=form, feasibility=report)
+    return _Analysis(matrix=m, norm=norm_t, params=params, form=form, feasibility=report)
 
 
 def _construct(analysis: _Analysis, tol: float) -> Factorization:
@@ -384,23 +413,20 @@ def _construct(analysis: _Analysis, tol: float) -> Factorization:
 
     In canonical coordinates P is diag(p_values), so the coupled block's
     factors are the 2x2 closed forms of each p laid out as a grid of
-    diagonal blocks; no eigendecomposition is needed.  The one certificate
-    is ``verify_certificate`` on the full matrix.
+    diagonal blocks; no eigendecomposition is needed.  They are assembled
+    with the clamped roots of the feasibility report, and the one
+    certificate is ``verify_certificate`` on the full matrix.
     """
     report = analysis.feasibility
     if not report.feasible:
         raise InfeasibleError(report)
     form = analysis.form
-    clean = replace(
-        form, params=QuadraticParams(report.a, report.b, analysis.params.residual)
+    # the blocks are not held past the assembly
+    fa, fb = _assemble_full_factors(
+        form, report.a, report.b,
+        *_coupled_block_factors(_closed_form_entries(report.a, report.b, form.p_values, tol)),
     )
-    a11, a12, a22, b11, b12, b22 = _closed_form_entries(
-        report.a, report.b, form.p_values, tol
-    )
-    block_a = _diagonal_grid(a11, a12, a22)
-    block_b = _diagonal_grid(b11, b12, b22)
-    fa, fb = assemble_full_factors(clean, block_a, block_b)
-    cert = verify_certificate(analysis.matrix, fa, fb, tol)
+    cert = _verify_certificate(analysis.matrix, fa, fb, analysis.norm, tol)
     if not cert.passed:
         raise CertificateError(
             "assembled factorization failed verification (residual %.3e)"

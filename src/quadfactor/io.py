@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict
 
 import numpy as np
@@ -66,7 +67,13 @@ def matrix_to_document(m) -> Dict[str, Any]:
 
 
 def document_to_matrix(doc) -> np.ndarray:
-    """Decode a matrix document; raises ValueError on any malformation."""
+    """Decode a matrix document; raises ValueError on any malformation.
+
+    Every entry must be a list or tuple ``[re, im]`` of two ints or floats
+    (bools are refused).  The entries are converted in one numpy call;
+    only a document that fails this is walked entry by entry, to name the
+    first bad entry.
+    """
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be an object, got %s" % type(doc).__name__)
     try:
@@ -80,17 +87,38 @@ def document_to_matrix(doc) -> np.ndarray:
         raise ValueError(
             "matrix document data must list rows*cols = %d entries" % (rows * cols)
         )
-    flat = np.empty(rows * cols, dtype=complex)
+    # np.array alone would read None as nan and "1.5" or True as numbers,
+    # and accept array-like entries, hence the checks on the types
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if (
+        pairs is None
+        or pairs.shape != (rows * cols, 2)
+        or not all(issubclass(kind, (list, tuple)) for kind in set(map(type, data)))
+        or not all(_is_number_type(kind) for kind in set(map(type, chain.from_iterable(data))))
+    ):
+        raise _entry_error(data)
+    return as_matrix(pairs.view(complex).reshape(rows, cols))
+
+
+def _is_number_type(kind) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _entry_error(data) -> Exception:
+    """The error for the first entry of ``data`` that is not an ``[re, im]``
+    pair of numbers."""
     for k, entry in enumerate(data):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError("entry %d is not an [re, im] pair" % k)
+            return ValueError("entry %d is not an [re, im] pair" % k)
         re, im = entry
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise ValueError("entry %d is not numeric" % k)
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise ValueError("entry %d is not numeric" % k)
-        flat[k] = complex(float(re), float(im))
-    return as_matrix(flat.reshape(rows, cols))
+        if not (_is_number_type(type(re)) and _is_number_type(type(im))):
+            return ValueError("entry %d is not numeric" % k)
+        # an int too large for a float raises OverflowError here
+        float(re), float(im)
+    return ValueError("matrix document data is not a list of [re, im] pairs")
 
 
 def extract_matrix_document(doc):

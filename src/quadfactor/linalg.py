@@ -6,6 +6,7 @@ ascending, singular values descending, and no randomized algorithms are used.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -36,6 +37,9 @@ DEFAULT_TOL = 1e-9
 #: are treated as zero.
 RANK_CUTOFF_SCALE = 1e-12
 
+#: Machine epsilon of float64.
+_EPS = float(np.finfo(float).eps)
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-d complex ndarray with finite entries.
@@ -54,8 +58,14 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm of a matrix."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+    """Frobenius norm of a matrix.
+
+    The same real and imaginary dot products as ``np.linalg.norm``, so the
+    same bytes, without its dispatch on ``ord`` and ``axis``.
+    """
+    x = np.asarray(a, dtype=complex).ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def rank_cutoff(singular_values, shape, scale: float = RANK_CUTOFF_SCALE) -> float:
@@ -103,9 +113,8 @@ def _cholesky_proves_flags(sym: np.ndarray, skew: float, tol: float) -> bool:
     nothing, when either fails or when the shifts leave no room.
     """
     n = sym.shape[0]
-    eps = np.finfo(float).eps
-    slack = _NORM_SLACK * n * eps
-    backward = 4.0 * (n + 2) * n * eps * (1.0 + 2.0 * tol)
+    slack = _NORM_SLACK * n * _EPS
+    backward = 4.0 * (n + 2) * n * _EPS * (1.0 + 2.0 * tol)
     lo = tol - backward - slack
     hi = 1.0 + tol - skew / 2.0 - backward - 2.0 * slack
     # lo <= hi keeps max(|lambda_min|, lambda_max) below hi + backward
@@ -160,6 +169,13 @@ def psd_contraction_flags(h, tol: float = DEFAULT_TOL) -> Tuple[bool, bool]:
         raise ValueError(
             "psd_contraction_flags requires a square matrix, got %r" % (m.shape,)
         )
+    return _psd_contraction_flags(m, tol)
+
+
+def _psd_contraction_flags(m: np.ndarray, tol: float) -> Tuple[bool, bool]:
+    """``psd_contraction_flags`` on a matrix that ``as_matrix`` returned and
+    that is square."""
+    n = m.shape[0]
     adjoint = m.conj().T
     skew = frobenius(m - adjoint)
     if skew > tol * max(1.0, frobenius(m)):
@@ -170,7 +186,7 @@ def psd_contraction_flags(h, tol: float = DEFAULT_TOL) -> Tuple[bool, bool]:
     eigs = np.linalg.eigvalsh(sym)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     spectral = max(-lam_min, lam_max)
-    spread = skew / 2.0 + _NORM_SLACK * n * np.finfo(float).eps * max(1.0, spectral)
+    spread = skew / 2.0 + _NORM_SLACK * n * _EPS * max(1.0, spectral)
     if spectral + spread <= 1.0 + tol:
         contraction = True
     elif spectral - spread > 1.0 + tol:

@@ -14,6 +14,7 @@ from .canonical import canonical_matrix
 from .errors import CertificateError, NotUpperTriangularError
 from .linalg import (
     DEFAULT_TOL,
+    _psd_contraction_flags,
     _sqrt_witness,
     as_matrix,
     frobenius,
@@ -80,12 +81,18 @@ def verify_certificate(t, a, b, tol: float = DEFAULT_TOL) -> VerificationReport:
         raise ValueError(
             "verify_certificate requires three square matrices of equal size"
         )
-    a_psd, a_con = psd_contraction_flags(ma, tol)
-    b_psd, b_con = psd_contraction_flags(mb, tol)
-    residual = frobenius(ma @ mb - mt)
-    passed = (
-        a_psd and a_con and b_psd and b_con and residual <= tol * max(1.0, frobenius(mt))
-    )
+    return _verify_certificate(mt, ma, mb, frobenius(mt), tol)
+
+
+def _verify_certificate(
+    t: np.ndarray, a: np.ndarray, b: np.ndarray, norm_t: float, tol: float
+) -> VerificationReport:
+    """``verify_certificate`` on three validated n x n matrices, given
+    ``frobenius(t)``."""
+    a_psd, a_con = _psd_contraction_flags(a, tol)
+    b_psd, b_con = _psd_contraction_flags(b, tol)
+    residual = frobenius(a @ b - t)
+    passed = a_psd and a_con and b_psd and b_con and residual <= tol * max(1.0, norm_t)
     return VerificationReport(
         a_psd=a_psd,
         a_contraction=a_con,

@@ -156,9 +156,10 @@ def test_factor_counterexample_exits_two(tmp_path, capsys):
 )
 def test_each_stage_runs_once_per_invocation(tmp_path, capsys, monkeypatch, command, matrix):
     calls = collections.Counter()
+    # _analyze runs the stage bodies, which the public stages delegate to
     stages = {
-        "detect_quadratic": canonical_module.detect_quadratic,
-        "canonicalize": canonical_module.canonicalize,
+        "_detect_quadratic": canonical_module._detect_quadratic,
+        "_canonicalize": canonical_module._canonicalize,
         "assess_feasibility": factorize_module.assess_feasibility,
     }
     for name, fn in stages.items():
@@ -166,13 +167,13 @@ def test_each_stage_runs_once_per_invocation(tmp_path, capsys, monkeypatch, comm
             calls[_name] += 1
             return _fn(*args, **kwargs)
         # the stages are looked up in the namespaces of the modules that call them
-        for module in (factorize_module, cli_module):
+        for module in (canonical_module, factorize_module, cli_module):
             monkeypatch.setattr(module, name, counted, raising=False)
     path = write_matrix(tmp_path / "m.json", matrix)
     code, _ = run_json(capsys, [command, "--input", path])
     assert code in (0, 2)
-    assert calls["detect_quadratic"] == 1
-    assert calls["canonicalize"] == 1
+    assert calls["_detect_quadratic"] == 1
+    assert calls["_canonicalize"] == 1
     assert calls["assess_feasibility"] <= 1
 
 
@@ -287,19 +288,38 @@ def test_oracle_subcommand(capsys):
     assert payload["evaluations"] >= 4 ** 6
 
 
+#: Inputs that declare one dimension one step past the size limit; the
+#: entries are left out, since nothing may read past the declared size.
+OVERSIZED_INPUTS = {
+    "rows.json": '{"rows": 2001, "cols": 2, "data": []}',
+    "cols.json": '{"rows": 2, "cols": 2001, "data": []}',
+    "plain.txt": "2001\n",
+    "verify.json": '{"t": {"rows": 2001, "cols": 2001, "data": []}, "a": {}, "b": {}}',
+}
+
+
 @pytest.mark.parametrize(
     "argv, limit",
     [
         (["oracle", "0.36", "0.64", "0.05", "--budget", "2000001"], "2000000"),
         (["bound", "--grid", "501"], "500"),
+        (["gen", "1", "0", "1000", "0.2", "0.7"], "2000"),
+        (["check", "--input", "rows.json"], "2000"),
+        (["canonical", "--input", "cols.json"], "2000"),
+        (["factor", "--input", "plain.txt"], "2000"),
+        (["verify", "--input", "verify.json"], "2000"),
     ],
 )
-def test_cost_limits_refuse_one_step_past(capsys, monkeypatch, argv, limit):
+def test_cost_limits_refuse_one_step_past(tmp_path, capsys, monkeypatch, argv, limit):
     def never(*args, **kwargs):
         raise AssertionError("the work ran despite the limit")
 
-    monkeypatch.setattr(cli_module, "oracle_2x2", never)
-    monkeypatch.setattr(cli_module, "feasibility_bound", never)
+    for name in ("oracle_2x2", "feasibility_bound", "random_quadratic",
+                 "document_to_matrix", "parse_matrix_text"):
+        monkeypatch.setattr(cli_module, name, never)
+    for name, text in OVERSIZED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     code, report = run_json(capsys, argv)
     assert code == 1
     assert report["verdict"] == "error"
@@ -307,7 +327,16 @@ def test_cost_limits_refuse_one_step_past(capsys, monkeypatch, argv, limit):
 
 
 @pytest.mark.parametrize(
-    "command, text", [("oracle", "at most 2000000"), ("bound", "N <= 500")]
+    "command, text",
+    [
+        ("oracle", "at most 2000000"),
+        ("bound", "N <= 500"),
+        ("gen", "n = d1 + d2 + 2r <= 2000 (about 17 s"),
+        ("check", "at most 2000 rows and cols (about 17 s"),
+        ("factor", "at most 2000 rows and cols"),
+        ("canonical", "at most 2000 rows and cols"),
+        ("verify", "at most 2000 rows and cols"),
+    ],
 )
 def test_cost_limits_are_documented_in_help(capsys, command, text):
     code, out = run_cli(capsys, [command, "--help"])
@@ -362,11 +391,41 @@ def test_matrix_document_bit_exact_round_trip():
         {"rows": 1, "cols": 1, "data": [["x", 0.0]]},
         {"rows": 1, "cols": 1, "data": [[True, 0.0]]},
         {"rows": "x", "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[1.0, False]]},
+        {"rows": 1, "cols": 1, "data": [[None, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[[1.0], 0.0]]},
+        {"rows": 1, "cols": 1, "data": [["1.5", 0.0]]},
     ],
 )
 def test_document_to_matrix_rejects_malformed(doc):
     with pytest.raises(ValueError):
         document_to_matrix(doc)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[1.0, 0.0], [2.0, True], ["x", 1.0]], "entry 1 is not numeric"),
+        ([[1.0, 0.0], [0.5, 0.5], [1.0]], "entry 2 is not an [re, im] pair"),
+        ([[1.0, 0.0], "ab", [None, 0.0]], "entry 1 is not an [re, im] pair"),
+        ([[1, 0], [[1.0, 2.0], [3.0, 4.0]], [1, 1]], "entry 1 is not numeric"),
+        ([[1.0, 0.0], [1.0, 0.0], np.array([1.0, 0.0])], "entry 2 is not an [re, im] pair"),
+    ],
+)
+def test_document_to_matrix_names_the_first_bad_entry(data, message):
+    with pytest.raises(ValueError) as excinfo:
+        document_to_matrix({"rows": 1, "cols": 3, "data": data})
+    assert str(excinfo.value) == message
+
+
+def test_document_to_matrix_integer_entries_match_floats():
+    ints = [[3, -7], [0, 2 ** 53 + 1], [10 ** 20, -(10 ** 17) - 1], [1, 0]]
+    floats = [[float(re), float(im)] for re, im in ints]
+    from_ints = document_to_matrix({"rows": 2, "cols": 2, "data": ints})
+    from_floats = document_to_matrix({"rows": 2, "cols": 2, "data": floats})
+    assert from_ints.tobytes() == from_floats.tobytes()
+    expected = np.array([complex(re, im) for re, im in floats]).reshape(2, 2)
+    assert from_ints.tobytes() == expected.tobytes()
 
 
 def test_extract_matrix_document_descends_envelopes():

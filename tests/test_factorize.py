@@ -1,5 +1,6 @@
 """Closed-form factorization into two positive contractions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from quadfactor import (
     InfeasibleError,
     NotPsdError,
     NotQuadraticError,
+    QuadraticParams,
     assemble_full_factors,
     assess_feasibility,
     canonicalize,
@@ -481,6 +483,47 @@ def test_factor_quadratic_commutes_with_unitary_conjugation():
         v @ result.B @ v.conj().T,
     )
     assert conjugated.passed
+
+
+def _factor_by_public_stages(t, tol=1e-9):
+    """factor_quadratic composed from the public stages: detection, the
+    canonical form, the clamped roots of the feasibility report, the 2x2
+    closed forms on a grid of diagonal blocks, assembly, certificate."""
+    params = detect_quadratic(t, tol)
+    form = canonicalize(t, params, tol)
+    p_norm = float(form.p_values[0]) if form.r > 0 else 0.0
+    report = assess_feasibility(params.a, params.b, p_norm, tol)
+    assert report.feasible
+    clean = dataclasses.replace(
+        form, params=QuadraticParams(report.a, report.b, params.residual)
+    )
+    scalars = [factor_2x2(report.a, report.b, p, tol) for p in form.p_values]
+    blocks = []
+    for entries in ([f.a_entries for f in scalars], [f.b_entries for f in scalars]):
+        upper, cross, lower = (np.diag(v) for v in np.reshape(entries, (-1, 3)).T)
+        blocks.append(np.block([[upper, cross], [cross, lower]]))
+    fa, fb = assemble_full_factors(clean, *blocks)
+    return fa, fb, verify_certificate(t, fa, fb, tol)
+
+
+@pytest.mark.parametrize(
+    "d1, d2, r, a, b, p, seed",
+    [
+        (1, 1, 0, 0.3, 0.7, [], 1),
+        (2, 3, 0, 0.8, 0.2, [], 2),
+        (0, 0, 1, 0.36, 0.64, [0.05], 3),
+        (2, 1, 2, 0.25, 0.75, [0.15, 0.1], 4),
+        (1, 2, 3, 0.7, 0.2, [0.1, 0.05, 0.01], 5),
+        (3, 0, 4, 0.9, 0.05, [0.2, 0.2, 0.1, 0.05], 6),
+    ],
+)
+def test_factor_quadratic_is_byte_identical_to_its_public_stages(d1, d2, r, a, b, p, seed):
+    t = random_quadratic(d1, d2, r, a, b, p, seed)
+    result = factor_quadratic(t)
+    fa, fb, report = _factor_by_public_stages(t)
+    assert result.A.tobytes() == fa.tobytes()
+    assert result.B.tobytes() == fb.tobytes()
+    assert result.report == report
 
 
 # ---------------------------------------------------------------------------
