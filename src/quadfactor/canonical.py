@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotQuadraticError, RankAmbiguousError
-from .linalg import _EPS, DEFAULT_TOL, RANK_CUTOFF_SCALE, as_matrix, frobenius
+from .linalg import (
+    _EPS,
+    DEFAULT_TOL,
+    RANK_CUTOFF_SCALE,
+    _diagonal,
+    as_matrix,
+    frobenius,
+)
 
 __all__ = [
     "QuadraticParams",
@@ -76,13 +83,23 @@ def canonical_matrix(a, b, d1: int, d2: int, r: int, p_values) -> np.ndarray:
         raise ValueError("invalid block dimensions (%d, %d, %d)" % (d1, d2, r))
     n = d1 + d2 + 2 * r
     out = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    out[idx[:d1], idx[:d1]] = a
-    out[idx[d1 : d1 + d2], idx[d1 : d1 + d2]] = b
+    np.fill_diagonal(out, _canonical_diagonal(a, b, d1, d2, r))
     k = d1 + d2
-    out[idx[k : k + r], idx[k : k + r]] = a
-    out[idx[k + r :], idx[k + r :]] = b
-    out[idx[k : k + r], idx[k + r :]] = p
+    idx = np.arange(k, n)
+    out[idx[:r], idx[r:]] = p
+    return out
+
+
+def _canonical_diagonal(a, b, d1: int, d2: int, r: int) -> np.ndarray:
+    """The diagonal of the canonical matrix, complex: d1 copies of a, d2 of
+    b, then r of a and r of b.  It scales the columns of U in U @ C."""
+    k = d1 + d2
+    out = np.empty(k + 2 * r, dtype=complex)
+    out[:d1] = a
+    out[d1:k] = b
+    if r:
+        out[k : k + r] = a
+        out[k + r :] = b
     return out
 
 
@@ -108,21 +125,55 @@ def detect_quadratic(t, tol: float = DEFAULT_TOL) -> QuadraticParams:
     return _detect_quadratic(m, m @ m, frobenius(m), tol)
 
 
+def _shifted(m: np.ndarray, a: complex) -> np.ndarray:
+    """``m - a * np.eye(n)`` to the bit, signed zeros included, without the
+    identity matrix.
+
+    numpy forms each entry as ``m_ij - a * e_ij`` with e_ij the complex 0
+    or 1 of the identity, and ``a * 0j`` has a -0 part for some a (a
+    negative real part, say), so the off-diagonal entries subtract it too.
+    """
+    out = np.subtract(m, a * 0j, order="C")
+    np.subtract(m.diagonal(), a * (1 + 0j), out=_diagonal(out))
+    return out
+
+
+def _norm_plus_scalar(x: np.ndarray, c: complex) -> float:
+    """``frobenius(x + c * np.eye(n))`` for a C-contiguous square ``x``
+    that the caller no longer needs: ``c`` is added to its diagonal in
+    place.  The entries differ from the sum with the identity at most in
+    the sign of a zero, which no norm sees."""
+    diagonal = _diagonal(x)
+    diagonal += c
+    return frobenius(x)
+
+
+def _quadratic_design(m: np.ndarray) -> np.ndarray:
+    """The (n*n, 2) least-squares design [vec(T), -vec(I)] of
+    ``detect_quadratic``, with the bytes of
+    ``np.column_stack([m.ravel(), -np.eye(n).ravel().astype(complex)])``:
+    -0 - 0j off the diagonal and -1 - 0j on it in the second column."""
+    n = m.shape[0]
+    design = np.empty((n * n, 2), dtype=complex)
+    design[:, 0] = m.ravel()
+    design[:, 1] = -0j
+    design[:: n + 1, 1] = -(1 + 0j)
+    return design
+
+
 def _detect_quadratic(
     m: np.ndarray, square: np.ndarray, norm_t: float, tol: float
 ) -> QuadraticParams:
     """``detect_quadratic`` on a validated square ``m``, given ``m @ m``
     and ``frobenius(m)``."""
     n = m.shape[0]
-    eye = np.eye(n)
     alpha = complex(np.trace(m) / n)
-    if frobenius(m - alpha * eye) <= tol * max(1.0, norm_t):
-        residual = frobenius(square - 2 * alpha * m + (alpha * alpha) * eye)
+    if _norm_plus_scalar(m.copy(), -alpha) <= tol * max(1.0, norm_t):
+        residual = _norm_plus_scalar(square - 2 * alpha * m, alpha * alpha)
         return QuadraticParams(alpha, alpha, float(residual))
-    design = np.column_stack([m.ravel(), -eye.ravel().astype(complex)])
-    coeffs, *_ = np.linalg.lstsq(design, square.ravel(), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(_quadratic_design(m), square.ravel(), rcond=None)
     s, p = complex(coeffs[0]), complex(coeffs[1])
-    residual = frobenius(square - s * m + p * eye)
+    residual = _norm_plus_scalar(square - s * m, p)
     if residual > tol * max(1.0, norm_t * norm_t):
         raise NotQuadraticError(
             "no monic quadratic annihilates the matrix "
@@ -188,8 +239,7 @@ def _canonicalize(
     ``frobenius(m)``."""
     n = m.shape[0]
     a, b = params.a, params.b
-    eye = np.eye(n)
-    relation = frobenius(square - (a + b) * m + (a * b) * eye)
+    relation = _norm_plus_scalar(square - (a + b) * m, a * b)
     del square  # T^2 is not needed past the relation check
     if relation > tol * max(1.0, norm_t * norm_t):
         raise NotQuadraticError(
@@ -198,8 +248,7 @@ def _canonicalize(
             residual=float(relation),
         )
 
-    shifted = m - a * eye
-    _, sv, vh = np.linalg.svd(shifted)
+    _, sv, vh = np.linalg.svd(_shifted(m, a))
     smax = float(sv[0]) if sv.size else 0.0
     # the kernel split is relative to the size of T itself, not of T - aI:
     # for T within round-off of a*I the shifted matrix is pure noise and
@@ -214,40 +263,37 @@ def _canonicalize(
             "parameter a=%s is not an eigenvalue of the matrix" % a
         )
     v = vh.conj().T
-    q1 = v[:, n - kernel_dim :]  # orthonormal basis of ker(T - aI)
-    q2 = v[:, : n - kernel_dim]
-
-    x = q1.conj().T @ m @ q2  # coupling block, kernel_dim x (n - kernel_dim)
-    if min(x.shape) == 0:
+    if kernel_dim == n:
+        # T is a*I to working accuracy.  The product with the identity
+        # stays: it is what sets the signed zeros of the unitary's bytes.
         r = 0
         p_values = np.zeros(0)
-        ux = np.eye(kernel_dim)
-        vx = np.eye(n - kernel_dim)
+        unitary = v @ np.eye(n)
     else:
-        ux_, sx, vxh = np.linalg.svd(x)
+        q1 = v[:, n - kernel_dim :]  # orthonormal basis of ker(T - aI)
+        q2 = v[:, : n - kernel_dim]
+        x = q1.conj().T @ m @ q2  # coupling block, kernel_dim x (n - kernel_dim)
+        ux, sx, vxh = np.linalg.svd(x)
         # reference scale: sigma_max of T - aI (X is a compression of it)
         _guard_rank_gap(sx, cut)
         r = int(np.count_nonzero(sx > cut))
         p_values = np.asarray(sx[:r], dtype=float)
-        ux = ux_
         vx = vxh.conj().T
-
-    u_r, u_0 = ux[:, :r], ux[:, r:]
-    v_r, v_0 = vx[:, :r], vx[:, r:]
-    unitary = np.hstack([q1 @ u_0, q2 @ v_0, q1 @ u_r, q2 @ v_r])
+        columns = [q1 @ ux[:, r:], q2 @ vx[:, r:]]
+        if r:
+            columns += [q1 @ ux[:, :r], q2 @ vx[:, :r]]
+        unitary = np.concatenate(columns, axis=1)
+    d1 = kernel_dim - r
+    d2 = (n - kernel_dim) - r
     form = CanonicalForm(
-        params=params,
-        d1=kernel_dim - r,
-        d2=(n - kernel_dim) - r,
-        r=r,
-        p_values=p_values,
-        unitary=unitary,
+        params=params, d1=d1, d2=d2, r=r, p_values=p_values, unitary=unitary
     )
     # ||T U - U C|| equals ||U* T U - C|| for unitary U, and U C is U with
     # scaled columns plus the coupling columns, so one gemm is enough
-    k = form.d1 + form.d2
-    unitary_canonical = unitary * np.repeat([a, b, a, b], [form.d1, form.d2, r, r])
-    unitary_canonical[:, k + r :] += unitary[:, k : k + r] * p_values
+    unitary_canonical = unitary * _canonical_diagonal(a, b, d1, d2, r)
+    if r:
+        k = d1 + d2
+        unitary_canonical[:, k + r :] += unitary[:, k : k + r] * p_values
     compression = frobenius(m @ unitary - unitary_canonical)
     if compression > 100.0 * max(tol, 1e-12) * max(1.0, norm_t):
         raise NotQuadraticError(

@@ -36,7 +36,7 @@ from .io import (
     matrix_to_document,
     parse_matrix_text,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _check_tol
 from .verify import VerificationReport, oracle_2x2, random_quadratic, verify_certificate
 
 __all__ = ["build_parser", "main"]
@@ -58,7 +58,7 @@ def _add_tol(parser) -> None:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="numerical tolerance (default %g)" % DEFAULT_TOL,
+        help="numerical tolerance in (0, 1) (default %g)" % DEFAULT_TOL,
     )
 
 
@@ -370,6 +370,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else EXIT_CODES["error"]
     try:
+        _check_tol(args.tol)
         result = _HANDLERS[args.command](args)
     except NotQuadraticError as exc:
         payload = {"message": str(exc)}

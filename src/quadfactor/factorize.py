@@ -20,12 +20,13 @@ import numpy as np
 from .canonical import (
     CanonicalForm,
     QuadraticParams,
+    _canonical_diagonal,
     _canonicalize,
     _detect_quadratic,
     _square_matrix,
 )
 from .errors import CertificateError, InfeasibleError, NotPsdError
-from .linalg import DEFAULT_TOL, as_matrix, frobenius, psd_check
+from .linalg import DEFAULT_TOL, _check_tol, as_matrix, frobenius, psd_check
 from .verify import Factorization, _verify_certificate, verify_certificate
 
 __all__ = [
@@ -241,10 +242,15 @@ def factor_2x2(a: float, b: float, z: float, tol: float = DEFAULT_TOL) -> Factor
     """
     av = _clamped_unit("a", float(a), tol)
     bv = _clamped_unit("b", float(b), tol)
+    return _factor_2x2(av, bv, feasibility_bound(av, bv), z, tol)
+
+
+def _factor_2x2(av: float, bv: float, bound: float, z, tol: float) -> Factor2x2:
+    """``factor_2x2`` for a and b already clamped into [0, 1], given their
+    ``feasibility_bound``; only z is checked."""
     if float(z) < -tol:
         raise ValueError("z=%r must be nonnegative" % (z,))
     zv = max(float(z), 0.0)
-    bound = feasibility_bound(av, bv)
     if zv > bound + tol:
         raise InfeasibleError(
             assess_feasibility(av, bv, zv, tol),
@@ -266,8 +272,10 @@ def factor_2x2(a: float, b: float, z: float, tol: float = DEFAULT_TOL) -> Factor
 
 def _closed_form_entries(a: float, b: float, values, tol: float) -> np.ndarray:
     """Rows (a11, a12, a22, b11, b12, b22) of ``factor_2x2(a, b, v)`` for
-    each coupling value v, as a (6, len(values)) array."""
-    scalars = [factor_2x2(a, b, v, tol) for v in values]
+    each coupling value v, as a (6, len(values)) array.  Both callers pass
+    a and b already clamped into [0, 1], so only each v is checked."""
+    bound = feasibility_bound(a, b)
+    scalars = [_factor_2x2(a, b, bound, v, tol) for v in values]
     return np.array([f.a_entries + f.b_entries for f in scalars], dtype=float).reshape(-1, 6).T
 
 
@@ -364,19 +372,23 @@ def assemble_full_factors(
 
 
 def _assemble_full_factors(
-    form: CanonicalForm, a, b, block_a: np.ndarray, block_b: np.ndarray
+    form: CanonicalForm, a, b, block_a, block_b
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``assemble_full_factors`` with the roots (a, b) given apart from
-    ``form``, and complex blocks of the right shape."""
+    ``form``, and complex blocks of the right shape; the blocks are not
+    read when r = 0."""
     u = np.asarray(form.unitary, dtype=complex)
     k = form.d1 + form.d2
+    scale = _canonical_diagonal(a, b, form.d1, form.d2, 0)
+    adjoint = u.conj().T
+    if form.r == 0:
+        return (u * scale) @ adjoint, np.ascontiguousarray(u) @ adjoint
     coupled = u[:, k:]
     u_core_a = np.empty_like(u)
-    u_core_a[:, :k] = u[:, :k] * np.repeat([a, b], [form.d1, form.d2])
+    np.multiply(u[:, :k], scale, out=u_core_a[:, :k])
     u_core_a[:, k:] = coupled @ block_a
     u_core_b = u.copy()
     u_core_b[:, k:] = coupled @ block_b
-    adjoint = u.conj().T
     return u_core_a @ adjoint, u_core_b @ adjoint
 
 
@@ -421,11 +433,14 @@ def _construct(analysis: _Analysis, tol: float) -> Factorization:
     if not report.feasible:
         raise InfeasibleError(report)
     form = analysis.form
-    # the blocks are not held past the assembly
-    fa, fb = _assemble_full_factors(
-        form, report.a, report.b,
-        *_coupled_block_factors(_closed_form_entries(report.a, report.b, form.p_values, tol)),
-    )
+    if form.r:
+        # the blocks are not held past the assembly
+        entries = _closed_form_entries(report.a, report.b, form.p_values, tol)
+        fa, fb = _assemble_full_factors(
+            form, report.a, report.b, *_coupled_block_factors(entries)
+        )
+    else:
+        fa, fb = _assemble_full_factors(form, report.a, report.b, None, None)
     cert = _verify_certificate(analysis.matrix, fa, fb, analysis.norm, tol)
     if not cert.passed:
         raise CertificateError(
@@ -443,6 +458,8 @@ def factor_quadratic(t, tol: float = DEFAULT_TOL) -> Factorization:
     its assembled factors; the coupled block gets no certificate of its
     own.  Raises NotQuadraticError when no monic quadratic fits and
     InfeasibleError (with the FeasibilityReport attached) when the spectral
-    parameters leave [0, 1] or the coupling norm exceeds the bound.
+    parameters leave [0, 1] or the coupling norm exceeds the bound, and
+    ValueError unless ``tol`` lies in (0, 1).
     """
+    _check_tol(tol)
     return _construct(_analyze(t, tol), tol)

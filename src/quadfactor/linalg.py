@@ -41,6 +41,19 @@ RANK_CUTOFF_SCALE = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
+def _check_tol(tol) -> None:
+    """Raise ValueError unless ``tol`` lies in (0, 1), which rules out NaN
+    and the infinities too: a tolerance of 1 or more passes factors that
+    are no contractions, and a negative or NaN one refuses every input."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be a finite number in (0, 1), got %r" % (tol,))
+
+
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-contiguous square ``x``."""
+    return x.reshape(-1)[:: x.shape[0] + 1]
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-d complex ndarray with finite entries.
 
@@ -121,7 +134,7 @@ def _cholesky_proves_flags(sym: np.ndarray, skew: float, tol: float) -> bool:
     if not 0.0 < lo <= hi:
         return False
     shifted = sym.copy()
-    diagonal = shifted.reshape(-1)[:: n + 1]
+    diagonal = _diagonal(shifted)
     diagonal += lo
     try:
         np.linalg.cholesky(shifted)
@@ -178,7 +191,9 @@ def _psd_contraction_flags(m: np.ndarray, tol: float) -> Tuple[bool, bool]:
     n = m.shape[0]
     adjoint = m.conj().T
     skew = frobenius(m - adjoint)
-    if skew > tol * max(1.0, frobenius(m)):
+    # skew <= tol settles it without norm(m): tol * max(1, norm(m)) >= tol
+    # for tol >= 0, and skew > tol for tol < 0
+    if skew > tol and skew > tol * max(1.0, frobenius(m)):
         return False, contraction_check(m, tol)
     sym = (m + adjoint) / 2.0
     if _cholesky_proves_flags(sym, skew, tol):

@@ -14,6 +14,7 @@ from .canonical import canonical_matrix
 from .errors import CertificateError, NotUpperTriangularError
 from .linalg import (
     DEFAULT_TOL,
+    _check_tol,
     _psd_contraction_flags,
     _sqrt_witness,
     as_matrix,
@@ -73,8 +74,10 @@ def verify_certificate(t, a, b, tol: float = DEFAULT_TOL) -> VerificationReport:
     prove both of its flags True.  Otherwise one ``eigvalsh`` gives both
     flags, and the SVD of ``contraction_check`` runs only for a factor that
     is not Hermitian, or whose norm lies too close to 1 + tol for the
-    eigenvalue bound to decide (see ``psd_contraction_flags``).
+    eigenvalue bound to decide (see ``psd_contraction_flags``).  Raises
+    ValueError unless ``tol`` lies in (0, 1).
     """
+    _check_tol(tol)
     mt, ma, mb = as_matrix(t), as_matrix(a), as_matrix(b)
     n = mt.shape[0]
     if mt.shape != (n, n) or ma.shape != (n, n) or mb.shape != (n, n):
@@ -555,6 +558,8 @@ def oracle_2x2(a: float, b: float, z: float, budget: int = 1_000_000, seed: int 
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError("a and b must lie in [0, 1]")
+    if not math.isfinite(z):
+        raise ValueError("z must be finite")
     if z < 0.0:
         raise ValueError("z must be nonnegative")
     if budget < 10_000:

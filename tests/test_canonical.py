@@ -13,6 +13,8 @@ from quadfactor import (
     detect_quadratic,
     random_quadratic,
 )
+from quadfactor.canonical import _norm_plus_scalar, _quadratic_design, _shifted
+from quadfactor.linalg import frobenius
 
 
 def haar_unitary(rng, n):
@@ -75,6 +77,38 @@ def test_detect_tolerance_scales_acceptance():
 def test_detect_requires_square_input():
     with pytest.raises(ValueError):
         detect_quadratic(np.zeros((2, 3)))
+
+
+def _signed_zero_matrix(order):
+    """A 3 x 3 matrix with +0 and -0 in real and imaginary parts."""
+    return np.array(
+        [
+            [0.0, -0.0, 0.5j],
+            [complex(-0.0, -0.0), 0.25, complex(0.0, -0.0)],
+            [complex(-1.0, 0.0), complex(-0.0, 0.3), complex(-0.0, 0.0)],
+        ],
+        order=order,
+    )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "a",
+    [0.3, -0.2, 0.0, -0.0, 0.1 + 0.2j, -0.1 - 0.0j, complex(-0.1, -0.0),
+     complex(-0.0, -0.0), complex(-0.0, 0.7)],
+)
+def test_diagonal_shift_has_the_bytes_of_the_identity(a, order):
+    # the shifts add to the diagonal alone; the SVD input and the lstsq
+    # design must still carry the bytes, signed zeros included, of the
+    # arithmetic with the identity matrix
+    m = _signed_zero_matrix(order)
+    eye = np.eye(3)
+    for shift in (a, complex(a)):
+        assert _shifted(m, shift).tobytes() == (m - shift * eye).tobytes()
+        assert _norm_plus_scalar(m.copy(), shift) == frobenius(m + shift * eye)
+    design = _quadratic_design(m)
+    assert design[:, 0].tobytes() == m.ravel().tobytes()
+    assert design[:, 1].tobytes() == (-eye.ravel().astype(complex)).tobytes()
 
 
 # ---------------------------------------------------------------------------

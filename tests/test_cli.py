@@ -288,6 +288,52 @@ def test_oracle_subcommand(capsys):
     assert payload["evaluations"] >= 4 ** 6
 
 
+def _write_gen_and_tampered_certificate(tmp_path, capsys):
+    """gen.json, the matrix of ``gen 1 1 1 0.2 0.6 0.05``, and tampered.json,
+    its factor certificate with 5.0 as the first entry of A."""
+    code, gen = run_json(capsys, ["gen", "1", "1", "1", "0.2", "0.6", "0.05"])
+    assert code == 0
+    (tmp_path / "gen.json").write_text(json.dumps(gen["payload"]["t"]))
+    code, factored = run_json(capsys, ["factor", "--input", str(tmp_path / "gen.json")])
+    assert code == 0
+    factored["payload"]["a"]["data"][0] = [5.0, 0.0]
+    (tmp_path / "tampered.json").write_text(json.dumps(factored["payload"]))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # at the parent these passed the tampered certificate (exit 0), said
+        # infeasible (exit 2) and not quadratic (exit 3)
+        (["verify", "--input", "tampered.json", "--tol", "inf"], "tol must be"),
+        (["verify", "--input", "tampered.json", "--tol", "1e300"], "tol must be"),
+        (["check", "--input", "gen.json", "--tol", "nan"], "tol must be"),
+        (["factor", "--input", "gen.json", "--tol", "inf"], "tol must be"),
+        (["factor", "--input", "gen.json", "--tol", "1e300"], "tol must be"),
+        (["factor", "--input", "gen.json", "--tol", "-1"], "tol must be"),
+        (["oracle", "0.2", "0.6", "nan", "--budget", "10000"], "z must be finite"),
+        (["oracle", "0.2", "0.6", "inf", "--budget", "10000"], "z must be finite"),
+    ],
+    ids=["verify-tol-inf", "verify-tol-1e300", "check-tol-nan", "factor-tol-inf",
+         "factor-tol-1e300", "factor-tol-minus-1", "oracle-z-nan", "oracle-z-inf"],
+)
+def test_out_of_range_numbers_exit_one(tmp_path, capsys, monkeypatch, argv, message):
+    _write_gen_and_tampered_certificate(tmp_path, capsys)
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, argv)
+    assert code == 1
+    assert report["verdict"] == "error"
+    assert message in report["payload"]["message"]
+
+
+def test_tampered_certificate_fails_at_the_default_tol(tmp_path, capsys):
+    _write_gen_and_tampered_certificate(tmp_path, capsys)
+    code, report = run_json(capsys, ["verify", "--input", str(tmp_path / "tampered.json")])
+    assert code == 1
+    assert report["verdict"] == "error"
+    assert report["payload"]["report"]["product_residual"] > 1.0
+
+
 #: Inputs that declare one dimension one step past the size limit; the
 #: entries are left out, since nothing may read past the declared size.
 OVERSIZED_INPUTS = {

@@ -14,6 +14,7 @@ from quadfactor import (
     QuadraticParams,
     assemble_full_factors,
     assess_feasibility,
+    canonical_matrix,
     canonicalize,
     detect_quadratic,
     direct_sum,
@@ -471,6 +472,12 @@ def test_factor_quadratic_rejects_spectrum_outside_unit_interval():
     assert not excinfo.value.report.spectrum_in_range
 
 
+@pytest.mark.parametrize("tol", [math.inf, 1e300, math.nan, -1.0, 0.0, 1.0])
+def test_factor_quadratic_rejects_a_tolerance_outside_the_unit_interval(tol):
+    with pytest.raises(ValueError, match="tol must be"):
+        factor_quadratic(np.array([[0.36, 0.05], [0.0, 0.64]]), tol)
+
+
 def test_factor_quadratic_commutes_with_unitary_conjugation():
     # conjugating the input conjugates the certified factors
     rng = np.random.default_rng(17)
@@ -515,10 +522,15 @@ def _factor_by_public_stages(t, tol=1e-9):
         (2, 1, 2, 0.25, 0.75, [0.15, 0.1], 4),
         (1, 2, 3, 0.7, 0.2, [0.1, 0.05, 0.01], 5),
         (3, 0, 4, 0.9, 0.05, [0.2, 0.2, 0.1, 0.05], 6),
+        # seed None: the canonical matrix itself, here the scalar 0.4 I
+        (3, 0, 0, 0.4, 0.4, [], None),
     ],
 )
 def test_factor_quadratic_is_byte_identical_to_its_public_stages(d1, d2, r, a, b, p, seed):
-    t = random_quadratic(d1, d2, r, a, b, p, seed)
+    if seed is None:
+        t = canonical_matrix(a, b, d1, d2, r, p)
+    else:
+        t = random_quadratic(d1, d2, r, a, b, p, seed)
     result = factor_quadratic(t)
     fa, fb, report = _factor_by_public_stages(t)
     assert result.A.tobytes() == fa.tobytes()

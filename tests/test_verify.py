@@ -130,6 +130,16 @@ def test_verify_catches_tampered_factor():
     assert not bad.passed
 
 
+@pytest.mark.parametrize("tol", [math.inf, 1e300, math.nan, -1.0, 0.0, 1.0])
+def test_verify_rejects_a_tolerance_outside_the_unit_interval(tol):
+    # at tol = inf the tampered pair, residual about 4, would pass
+    sol = factor_2x2(0.36, 0.64, 0.05)
+    tampered = sol.matrix_a.copy()
+    tampered[0, 0] = 5.0
+    with pytest.raises(ValueError, match="tol must be"):
+        verify_certificate(np.array([[0.36, 0.05], [0.0, 0.64]]), tampered, sol.matrix_b, tol)
+
+
 def test_verify_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         verify_certificate(np.eye(2), np.eye(3), np.eye(2))
@@ -359,6 +369,8 @@ def test_oracle_deterministic():
         {"a": 0.5, "b": 1.5, "z": 0.0},
         {"a": 0.5, "b": 0.5, "z": -0.1},
         {"a": 0.5, "b": 0.5, "z": 0.0, "budget": 9_999},
+        {"a": 0.2, "b": 0.6, "z": math.nan},
+        {"a": 0.2, "b": 0.6, "z": math.inf},
     ],
 )
 def test_oracle_validates_arguments(kwargs):
