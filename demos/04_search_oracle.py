@@ -1,20 +1,21 @@
 """
-Cross-checking the closed forms with a derivative-free search
-=============================================================
+Cross-checking the closed forms with an independent search
+==========================================================
 
 The closed-form factorizer and the feasibility bound come from the same
 piece of algebra, so the package also ships an independent route: a
-brute-force search over all pairs of real symmetric 2x2 positive
-contractions
+search over all pairs of real symmetric 2x2 positive contractions
 
     A = R(theta_a) diag(s_a, t_a) R(theta_a)^T,
     B = R(theta_b) diag(s_b, t_b) R(theta_b)^T,
 
-minimizing ||A @ B - [[a, z], [0, b]]||_F with a parameter grid followed
-by deterministic local refinement.  Feasible targets drive the residual
-to numerical zero; infeasible ones bottom out at a genuinely positive
-floor.  Neither route consults the other, so their agreement is evidence
-that the bound is right.
+minimizing ||A @ B - [[a, z], [0, b]]||_F.  A full parameter grid picks
+32 starts, and one batched Levenberg-Marquardt refinement, with the
+eigenvalues kept in [0, 1], polishes them all at once.  Feasible targets,
+z equal to the bound included, reach a residual of order 1e-11 or less,
+where the refinement stops; infeasible ones bottom out at a clearly
+positive floor.  Neither route consults the other, so their agreement is
+evidence that the bound is right, and sharp.
 """
 
 import numpy as np

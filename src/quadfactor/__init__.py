@@ -52,7 +52,6 @@ from .linalg import (
     as_matrix,
     block_positivity_witness,
     contraction_check,
-    direct_sum,
     frobenius,
     operator_norm,
     pinv,
@@ -105,7 +104,6 @@ __all__ = [
     "contraction_check",
     "detect_quadratic",
     "diagonal_block_factors",
-    "direct_sum",
     "document_to_matrix",
     "extract_matrix_document",
     "factor_2x2",

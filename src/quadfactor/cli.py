@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("z", type=float, help="upper-right entry of the target")
     p.add_argument(
         "--budget", type=int, default=1_000_000,
-        help="evaluation budget, at most %d (default 1000000)" % ORACLE_BUDGET_LIMIT,
+        help="evaluation budget of the grid scan, at most %d (default 1000000); "
+        "the refinement adds at most 32 x 3000 evaluations" % ORACLE_BUDGET_LIMIT,
     )
     p.add_argument("--seed", type=int, default=0, help="echoed into the report")
     _add_tol(p), _add_output(p)

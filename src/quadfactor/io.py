@@ -69,18 +69,18 @@ def matrix_to_document(m) -> Dict[str, Any]:
 def document_to_matrix(doc) -> np.ndarray:
     """Decode a matrix document; raises ValueError on any malformation.
 
-    Every entry must be a list or tuple ``[re, im]`` of two ints or floats
-    (bools are refused).  The entries are converted in one numpy call;
-    only a document that fails this is walked entry by entry, to name the
-    first bad entry.
+    ``rows`` and ``cols`` must be ints (bools are refused).  Every entry
+    must be a list or tuple ``[re, im]`` of two ints or floats (bools are
+    refused).  The entries are converted in one numpy call; only a document
+    that fails this is walked entry by entry, to name the first bad entry.
     """
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be an object, got %s" % type(doc).__name__)
-    try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("matrix document needs integer rows/cols and data") from exc
+    rows, cols = doc.get("rows"), doc.get("cols")
+    # type(True) is bool, so this refuses bools too
+    if not (type(rows) is int and type(cols) is int and "data" in doc):
+        raise ValueError("matrix document needs integer rows/cols and data")
+    data = doc["data"]
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:

@@ -27,7 +27,6 @@ __all__ = [
     "pinv",
     "range_projection",
     "block_positivity_witness",
-    "direct_sum",
 ]
 
 #: Default absolute/relative tolerance used across the package.
@@ -299,18 +298,3 @@ def block_positivity_witness(a11, a12, a22, tol: float = DEFAULT_TOL) -> np.ndar
         raise NoWitnessError("witness would have norm %.6g > 1" % norm_d)
     return d
 
-
-def direct_sum(*blocks) -> np.ndarray:
-    """Block-diagonal direct sum of square complex blocks (may be empty)."""
-    mats = [np.asarray(b, dtype=complex) for b in blocks]
-    for b in mats:
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("direct_sum expects square blocks")
-    n = sum(b.shape[0] for b in mats)
-    out = np.zeros((n, n), dtype=complex)
-    k = 0
-    for b in mats:
-        m = b.shape[0]
-        out[k : k + m, k : k + m] = b
-        k += m
-    return out

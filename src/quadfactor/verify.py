@@ -174,387 +174,111 @@ def _pair_entries(theta, s, t):
     return c * c * s + sn * sn * t, c * sn * (s - t), sn * sn * s + c * c * t
 
 
-def _residual_sq(x, a, b, z):
-    """Squared Frobenius distance of the parameterized product from the
-    target [[a, z], [0, b]] (scalar, used by the refinement loop)."""
-    ca, sa = math.cos(x[0]), math.sin(x[0])
-    cb, sb = math.cos(x[3]), math.sin(x[3])
-    a11 = ca * ca * x[1] + sa * sa * x[2]
-    a12 = ca * sa * (x[1] - x[2])
-    a22 = sa * sa * x[1] + ca * ca * x[2]
-    b11 = cb * cb * x[4] + sb * sb * x[5]
-    b12 = cb * sb * (x[4] - x[5])
-    b22 = sb * sb * x[4] + cb * cb * x[5]
-    p11 = a11 * b11 + a12 * b12 - a
-    p12 = a11 * b12 + a12 * b22 - z
-    p21 = a12 * b11 + a22 * b12
-    p22 = a12 * b12 + a22 * b22 - b
-    return p11 * p11 + p12 * p12 + p21 * p21 + p22 * p22
-
-
-_REFINE_STARTS = 8
-#: The angle plane search samples the residual on an 8x8 grid: eight points
-#: per axis resolve trigonometric harmonics up to order 2 exactly.
-_ANGLE_SAMPLES = 8
-_ANGLE_FREQS = np.fft.fftfreq(_ANGLE_SAMPLES, d=1.0 / _ANGLE_SAMPLES)
-_ANGLE_SCAN = 32
+#: Grid points polished by the refinement, all in one batch.
+_REFINE_STARTS = 32
+#: Most Levenberg-Marquardt steps one call takes.
+_LM_STEPS = 3000
+#: Range of the damping factor; a start whose damping reaches the top has
+#: stalled and takes no further steps.
+_MU_MIN, _MU_MAX = 1e-15, 1e15
 #: Stop polishing once the squared residual drops below (1e-11)^2; the
 #: reported minimum only needs to separate feasible from infeasible.
 _TARGET_SQ = 1e-22
+#: Positions of the angles and of the eigenvalues in a parameter vector.
+_ANGLE_SLOTS = [0, 3]
+_EIGEN_SLOTS = [1, 2, 4, 5]
+#: Index map from the entries (m11, m12, m22) of a symmetric 2x2 matrix to
+#: the full matrix.
+_SYMMETRIC = np.array([[0, 1], [1, 2]])
 
 
-def _clip_param(i: int, value: float) -> float:
-    if i in (0, 3):
-        return value % math.pi
-    return min(1.0, max(0.0, value))
-
-
-def _eigen_line_min(x, i, f, a, b, z):
-    """Exact line minimization over eigenvalue slot i.
-
-    The product is linear in each factor eigenvalue, so along these
-    coordinates the squared residual is a parabola; three probes pin it
-    down and the vertex is clipped into [0, 1].  The single-coordinate
-    curvatures stay well scaled even when the full Hessian is nearly
-    singular, so these steps polish to machine precision where the larger
-    block solves bottom out on fit noise."""
-    probes = []
-    for value in (0.0, 0.5, 1.0):
-        trial = list(x)
-        trial[i] = value
-        probes.append((_residual_sq(trial, a, b, z), value))
-    evals = 3
-    f0, fh, f1 = probes[0][0], probes[1][0], probes[2][0]
-    curvature = 2.0 * (f0 - 2.0 * fh + f1)
-    if curvature > 0.0:
-        vertex = (3.0 * f0 - 4.0 * fh + f1) / (2.0 * curvature)
-        vertex = min(1.0, max(0.0, vertex))
-        trial = list(x)
-        trial[i] = vertex
-        probes.append((_residual_sq(trial, a, b, z), vertex))
-        evals += 1
-    ft, value = min(probes)
-    if ft < f:
-        out = list(x)
-        out[i] = value
-        return out, ft, evals, True
-    return x, f, evals, False
-
-
-#: Eigenvalue-pair probes that pin down a bivariate quadratic exactly.
-_QUAD_PROBES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.0, 0.5), (1.0, 1.0))
-
-
-def _quad_coeffs(q):
-    """Coefficients (1, s, t, s^2, s*t, t^2) of a bivariate quadratic from
-    its values at the six probe points in _QUAD_PROBES (elementwise over
-    trailing axes, so each harmonic bin is fitted in one shot)."""
-    c00 = q[0]
-    u1 = q[1] - c00
-    uh = q[3] - c00
-    c20 = 2.0 * u1 - 4.0 * uh
-    c10 = u1 - c20
-    v1 = q[2] - c00
-    vh = q[4] - c00
-    c02 = 2.0 * v1 - 4.0 * vh
-    c01 = v1 - c02
-    c11 = q[5] - c00 - c10 - c01 - c20 - c02
-    return c00, c10, c01, c20, c11, c02
-
-
-def _box_quad_min(c):
-    """Exact minimum of a bivariate quadratic over the unit box.
-
-    ``c`` holds (c00, c10, c01, c20, c11, c02).  The minimizer is either
-    the interior stationary point or sits on an edge or corner; every
-    candidate has a closed form, so enumerate them and keep the smallest."""
-    c00, c10, c01, c20, c11, c02 = (float(v) for v in c)
-
-    def value(s, t):
-        return c00 + c10 * s + c01 * t + c20 * s * s + c11 * s * t + c02 * t * t
-
-    cands = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    if c02 > 0.0:
-        cands.append((0.0, min(1.0, max(0.0, -c01 / (2.0 * c02)))))
-        cands.append((1.0, min(1.0, max(0.0, -(c01 + c11) / (2.0 * c02)))))
-    if c20 > 0.0:
-        cands.append((min(1.0, max(0.0, -c10 / (2.0 * c20))), 0.0))
-        cands.append((min(1.0, max(0.0, -(c10 + c11) / (2.0 * c20))), 1.0))
-    det = 4.0 * c20 * c02 - c11 * c11
-    if det > 0.0 and c20 > 0.0:
-        s = (c11 * c01 - 2.0 * c02 * c10) / det
-        t = (c11 * c10 - 2.0 * c20 * c01) / det
-        if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
-            cands.append((s, t))
-    best_s, best_t = min(cands, key=lambda st: value(*st))
-    return best_s, best_t, value(best_s, best_t)
-
-
-def _box_quad_min_batch(c):
-    """Vectorized _box_quad_min over rows of coefficient arrays.
-
-    Guarded candidates (edge vertices and the interior stationary point)
-    fall back to a corner when their existence condition fails, which is
-    harmless because every corner is already a candidate."""
-    c00, c10, c01, c20, c11, c02 = (c[:, i] for i in range(6))
-    zeros = np.zeros_like(c00)
-    ones = np.ones_like(c00)
-    ok02 = c02 > 0.0
-    ok20 = c20 > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_s0 = np.clip(-c01 / (2.0 * c02), 0.0, 1.0)
-        t_s1 = np.clip(-(c01 + c11) / (2.0 * c02), 0.0, 1.0)
-        s_t0 = np.clip(-c10 / (2.0 * c20), 0.0, 1.0)
-        s_t1 = np.clip(-(c10 + c11) / (2.0 * c20), 0.0, 1.0)
-    det = 4.0 * c20 * c02 - c11 * c11
-    interior = (det > 0.0) & ok20
-    safe = np.where(interior, det, 1.0)
-    s_in = np.where(interior, (c11 * c01 - 2.0 * c02 * c10) / safe, 0.0)
-    t_in = np.where(interior, (c11 * c10 - 2.0 * c20 * c01) / safe, 0.0)
-    interior &= (s_in >= 0.0) & (s_in <= 1.0) & (t_in >= 0.0) & (t_in <= 1.0)
-    cand_s = np.stack([
-        zeros, ones, zeros, ones,
-        zeros, ones,
-        np.where(ok20, s_t0, zeros), np.where(ok20, s_t1, zeros),
-        np.where(interior, s_in, zeros),
-    ])
-    cand_t = np.stack([
-        zeros, zeros, ones, ones,
-        np.where(ok02, t_s0, zeros), np.where(ok02, t_s1, zeros),
-        zeros, ones,
-        np.where(interior, t_in, zeros),
-    ])
-    vals = (c00 + c10 * cand_s + c01 * cand_t + c20 * cand_s * cand_s
-            + c11 * cand_s * cand_t + c02 * cand_t * cand_t)
-    pick = np.argmin(vals, axis=0)
-    rows = np.arange(c00.size)
-    return cand_s[pick, rows], cand_t[pick, rows], vals[pick, rows]
-
-
-def _factor_side_min(x, f, base, a, b, z):
-    """Exact minimization over one factor's full (angle, eigenpair) triple.
-
-    With the other factor held fixed, the squared residual restricted to
-    one factor is a trigonometric polynomial of harmonic order <= 2 in the
-    doubled angle whose Fourier coefficients are bivariate quadratics in
-    the eigenvalue pair.  Eight angle samples per eigenvalue probe pin the
-    model down exactly; the model is scanned over the angle with a
-    closed-form box minimization per scan point, polished by alternating
-    Newton steps on the angle with exact eigenpair solves, and the result
-    is accepted only when the true residual improves."""
-    step = math.pi / _ANGLE_SAMPLES
-    grid = np.arange(_ANGLE_SAMPLES) * step
-    probes = np.array(_QUAD_PROBES)
-    v11, v12, v22 = _pair_entries(
-        grid[np.newaxis, :], probes[:, :1], probes[:, 1:]
+def _factor_and_derivatives(theta, s, t):
+    """R(theta) diag(s, t) R(theta)^T for k parameter triples, shape
+    (k, 2, 2), and its derivatives in (theta, s, t), shape (k, 3, 2, 2)."""
+    c, sn = np.cos(theta), np.sin(theta)
+    cc, cs, ss = c * c, c * sn, sn * sn
+    gap = s - t
+    d11, d12 = -2.0 * cs * gap, (cc - ss) * gap
+    entries = np.array(
+        [_pair_entries(theta, s, t), (d11, d12, -d11), (cc, cs, ss), (ss, -cs, cc)]
     )
-    other = 3 - base
-    o11, o12, o22 = _pair_entries(x[other], x[other + 1], x[other + 2])
-    if base == 0:
-        p11 = v11 * o11 + v12 * o12 - a
-        p12 = v11 * o12 + v12 * o22 - z
-        p21 = v12 * o11 + v22 * o12
-        p22 = v12 * o12 + v22 * o22 - b
-    else:
-        p11 = o11 * v11 + o12 * v12 - a
-        p12 = o11 * v12 + o12 * v22 - z
-        p21 = o12 * v11 + o22 * v12
-        p22 = o12 * v12 + o22 * v22 - b
-    samples = p11 * p11 + p12 * p12 + p21 * p21 + p22 * p22
-    evals = samples.size
-
-    bins = np.fft.fft(samples, axis=1) / float(_ANGLE_SAMPLES)
-    # bins beyond frequency 2 hold only round-off; silence them
-    bins[:, np.abs(_ANGLE_FREQS) > 2.0] = 0.0
-    harm = np.vstack(_quad_coeffs(bins))
-
-    phis = 2.0 * math.pi * np.arange(_ANGLE_SCAN) / _ANGLE_SCAN
-    waves = np.exp(1j * np.outer(phis, _ANGLE_FREQS))
-    coefs = (waves @ harm.T).real
-    s_scan, t_scan, v_scan = _box_quad_min_batch(coefs)
-    i_scan = int(np.argmin(v_scan))
-    phi, s, t = float(phis[i_scan]), float(s_scan[i_scan]), float(t_scan[i_scan])
-    scan_point = (phi, s, t)
-
-    for _ in range(6):
-        mono = np.array([1.0, s, t, s * s, s * t, t * t])
-        gamma = mono @ harm
-        for _ in range(4):
-            e = np.exp(1j * _ANGLE_FREQS * phi)
-            slope = ((1j * _ANGLE_FREQS * e) @ gamma).real
-            curve = ((-(_ANGLE_FREQS ** 2) * e) @ gamma).real
-            if curve <= 0.0:
-                break
-            phi -= slope / curve
-            if abs(slope / curve) < 1e-15:
-                break
-        e = np.exp(1j * _ANGLE_FREQS * phi)
-        s_new, t_new, _ = _box_quad_min((harm @ e).real)
-        done = abs(s_new - s) + abs(t_new - t) < 1e-15
-        s, t = s_new, t_new
-        if done:
-            break
-
-    p_raw, j_raw = np.unravel_index(int(np.argmin(samples)), samples.shape)
-    # the sampled minimum is re-evaluated through the scalar path so that
-    # acceptance always compares like against like
-    raw_point = (2.0 * (j_raw * step),) + _QUAD_PROBES[p_raw]
-    cands = []
-    for cand_phi, cand_s, cand_t in (raw_point, scan_point, (phi, s, t)):
-        trial = list(x)
-        trial[base] = (cand_phi / 2.0) % math.pi
-        trial[base + 1] = min(1.0, max(0.0, cand_s))
-        trial[base + 2] = min(1.0, max(0.0, cand_t))
-        ft = _residual_sq(trial, a, b, z)
-        evals += 1
-        cands.append((ft, trial[base], trial[base + 1], trial[base + 2]))
-    ft, theta, s, t = min(cands)
-    if ft < f:
-        out = list(x)
-        out[base] = theta
-        out[base + 1] = s
-        out[base + 2] = t
-        return out, ft, evals, True
-    return x, f, evals, False
+    full = entries.transpose(2, 0, 1)[..., _SYMMETRIC]
+    return full[:, 0], full[:, 1:]
 
 
-def _angle_plane_min(x, f, a, b, z):
-    """Exact joint minimization over the two angle slots.
-
-    With the eigenvalues held fixed, the squared residual on the plane of
-    the two angles is a trigonometric polynomial with harmonics up to 2 in
-    each doubled angle, so an 8x8 sample grid determines it exactly.  The
-    interpolant is scanned on a finer grid and polished by Newton steps;
-    the move is accepted only when the true residual improves."""
-    base = math.pi / _ANGLE_SAMPLES
-    grid = np.arange(_ANGLE_SAMPLES) * base
-    la11, la12, la22 = _pair_entries(grid, x[1], x[2])
-    lb11, lb12, lb22 = _pair_entries(grid, x[4], x[5])
-    p11 = np.outer(la11, lb11) + np.outer(la12, lb12) - a
-    p12 = np.outer(la11, lb12) + np.outer(la12, lb22) - z
-    p21 = np.outer(la12, lb11) + np.outer(la22, lb12)
-    p22 = np.outer(la12, lb12) + np.outer(la22, lb22) - b
-    values = p11 * p11 + p12 * p12 + p21 * p21 + p22 * p22
-    evals = values.size
-    coeffs = np.fft.fft2(values) / float(_ANGLE_SAMPLES * _ANGLE_SAMPLES)
-    # bins beyond frequency 2 hold only round-off; silence them
-    mask = np.abs(_ANGLE_FREQS) <= 2.0
-    coeffs *= np.outer(mask, mask)
-
-    phis = 2.0 * math.pi * np.arange(_ANGLE_SCAN) / _ANGLE_SCAN
-    waves = np.exp(1j * np.outer(phis, _ANGLE_FREQS))
-    scan = (waves @ coeffs @ waves.T).real
-    j_scan, k_scan = np.unravel_index(int(np.argmin(scan)), scan.shape)
-    phi_a, phi_b = float(phis[j_scan]), float(phis[k_scan])
-
-    def derivatives(pa, pb):
-        ea = np.exp(1j * _ANGLE_FREQS * pa)
-        eb = np.exp(1j * _ANGLE_FREQS * pb)
-        da = 1j * _ANGLE_FREQS * ea
-        db = 1j * _ANGLE_FREQS * eb
-        grad = ((da @ coeffs @ eb).real, (ea @ coeffs @ db).real)
-        hess = (
-            -(_ANGLE_FREQS ** 2 * ea) @ coeffs @ eb,
-            (da @ coeffs @ db),
-            ea @ coeffs @ -(_ANGLE_FREQS ** 2 * eb),
-        )
-        return grad, tuple(h.real for h in hess)
-
-    start = (phi_a, phi_b)
-    for _ in range(8):
-        (ga, gb), (haa, hab, hbb) = derivatives(phi_a, phi_b)
-        det = haa * hbb - hab * hab
-        if det <= 0.0 or haa <= 0.0:
-            break
-        step_a = (hbb * ga - hab * gb) / det
-        step_b = (haa * gb - hab * ga) / det
-        phi_a -= step_a
-        phi_b -= step_b
-        if abs(step_a) + abs(step_b) < 1e-15:
-            break
-
-    j_best, k_best = np.unravel_index(int(np.argmin(values)), values.shape)
-    best_ft = None
-    best_angles = None
-    # the sampled minimum is re-evaluated through the scalar path so that
-    # acceptance always compares like against like
-    raw = (2.0 * (j_best * base), 2.0 * (k_best * base))
-    for pa, pb in (raw, start, (phi_a, phi_b)):
-        trial = list(x)
-        trial[0] = (pa / 2.0) % math.pi
-        trial[3] = (pb / 2.0) % math.pi
-        ft = _residual_sq(trial, a, b, z)
-        evals += 1
-        if best_ft is None or ft < best_ft:
-            best_ft = ft
-            best_angles = (trial[0], trial[3])
-    if best_ft < f:
-        out = list(x)
-        out[0], out[3] = best_angles
-        return out, best_ft, evals, True
-    return x, f, evals, False
+def _residual_jacobian(x, target):
+    """Residuals A B - T of k parameter vectors, shape (k, 4), and their
+    Jacobians in (theta_a, s_a, t_a, theta_b, s_b, t_b), shape (k, 4, 6)."""
+    fa, da = _factor_and_derivatives(x[:, 0], x[:, 1], x[:, 2])
+    fb, db = _factor_and_derivatives(x[:, 3], x[:, 4], x[:, 5])
+    k = x.shape[0]
+    resid = (fa @ fb - target).reshape(k, 4)
+    jac = np.concatenate([da @ fb[:, np.newaxis], fa[:, np.newaxis] @ db], axis=1)
+    return resid, jac.reshape(k, 6, 4).transpose(0, 2, 1)
 
 
-def _refine(x0, a, b, z, max_evals):
-    """Blockwise-exact descent on the six-parameter search space.
+def _refine(x, target):
+    """Bound-constrained Levenberg-Marquardt on all starts at once.
 
-    Each pass minimizes the squared residual exactly on the plane of the
-    two angles, over each factor's (angle, eigenpair) triple with the
-    other factor fixed, and along every single eigenvalue coordinate; the
-    mix of block sizes matters, because the large blocks escape valleys
-    that jam single-coordinate descent while the scalar lines polish past
-    the fit-noise floor of the block models.  After an improving pass a
-    pattern move doubles along the net displacement, which keeps the
-    search from crawling down curved valleys one block at a time.  Stops
-    at a blockwise stationary point, at the target residual, or at the
-    evaluation cap.  Deterministic throughout.
+    Each start solves ``(J^T J + mu (diag(J^T J) + 1e-12)) d = -J^T r`` and
+    takes the step only when the squared residual falls; mu starts at 1e-4,
+    shrinks by 0.3 on a success and grows by 10 on a failure.  J^T J of the
+    4 x 6 Jacobian is always singular, so the damping keeps the system
+    solvable.  After a step the angles are taken mod pi and the eigenvalues
+    clipped into [0, 1].  An eigenvalue at a bound whose gradient points
+    outward is held for that step: its Jacobian column is zeroed and its
+    diagonal gets 1.  Returns the final parameters, squared residuals and
+    the number of start-steps taken by starts that had not stalled.
     """
-    x = list(x0)
-    f = _residual_sq(x, a, b, z)
-    evals = 1
-    while f > _TARGET_SQ and evals < max_evals:
-        improved = False
-        before = list(x)
-        x, f, used, moved = _angle_plane_min(x, f, a, b, z)
-        evals += used
-        improved = improved or moved
-        for base in (0, 3):
-            if f <= _TARGET_SQ:
-                break
-            x, f, used, moved = _factor_side_min(x, f, base, a, b, z)
-            evals += used
-            improved = improved or moved
-        for i in (1, 2, 4, 5):
-            if f <= _TARGET_SQ:
-                break
-            x, f, used, moved = _eigen_line_min(x, i, f, a, b, z)
-            evals += used
-            improved = improved or moved
-        if not improved:
+    resid, jac = _residual_jacobian(x, target)
+    f = np.einsum("ki,ki->k", resid, resid)
+    # starting at 1e-3, every start for (a, b) = (0.0614, 0.00026) at 1.05x
+    # the bound ends on a face minimum 11 % above the best one
+    mu = np.full(x.shape[0], 1e-4)
+    eye = np.eye(6)
+    used = 0
+    for _ in range(_LM_STEPS):
+        live = mu < _MU_MAX
+        if f.min() <= _TARGET_SQ or not live.any():
             break
-        delta = [xi - bi for xi, bi in zip(x, before)]
-        while evals < max_evals and f > _TARGET_SQ:
-            trial = [_clip_param(i, x[i] + delta[i]) for i in range(6)]
-            if trial == x:
-                break
-            ft = _residual_sq(trial, a, b, z)
-            evals += 1
-            if ft >= f:
-                break
-            x, f = trial, ft
-            delta = [2.0 * d for d in delta]
-    return x, f, evals
+        used += int(live.sum())
+        grad = np.einsum("kij,ki->kj", jac, resid)
+        lam, slope = x[:, _EIGEN_SLOTS], grad[:, _EIGEN_SLOTS]
+        held = np.zeros_like(x, dtype=bool)
+        held[:, _EIGEN_SLOTS] = ((lam <= 0.0) & (slope > 0.0)) | ((lam >= 1.0) & (slope < 0.0))
+        jac_free = np.where(held[:, np.newaxis, :], 0.0, jac)
+        grad = np.where(held, 0.0, grad)
+        normal = np.einsum("kij,kil->kjl", jac_free, jac_free) + held[:, :, np.newaxis] * eye
+        diag = np.einsum("kii->ki", normal)
+        lhs = normal + (mu[:, np.newaxis] * (diag + 1e-12))[:, :, np.newaxis] * eye
+        step = np.linalg.solve(lhs, -grad[:, :, np.newaxis])[:, :, 0]
+        trial = x + step
+        trial[:, _ANGLE_SLOTS] %= math.pi
+        trial[:, _EIGEN_SLOTS] = np.clip(trial[:, _EIGEN_SLOTS], 0.0, 1.0)
+        resid_t, jac_t = _residual_jacobian(trial, target)
+        f_t = np.einsum("ki,ki->k", resid_t, resid_t)
+        better = live & (f_t < f)
+        x = np.where(better[:, np.newaxis], trial, x)
+        resid = np.where(better[:, np.newaxis], resid_t, resid)
+        jac = np.where(better[:, np.newaxis, np.newaxis], jac_t, jac)
+        f = np.where(better, f_t, f)
+        mu = np.clip(np.where(better, 0.3 * mu, 10.0 * mu), _MU_MIN, _MU_MAX)
+    return x, f, used
 
 
 def oracle_2x2(a: float, b: float, z: float, budget: int = 1_000_000, seed: int = 0) -> OracleResult:
     """Search for two real symmetric PSD contractions whose product is
     ``[[a, z], [0, b]]``, minimizing the Frobenius residual.
 
-    A full grid of floor(budget^(1/6)) points per parameter is scanned, then
-    the best grid points are polished by cyclic coordinate refinement with
-    exact line minimization along every coordinate.  The search is
-    deterministic for a fixed seed and budget (the seed is echoed for
-    reproducibility bookkeeping; the search itself draws no random numbers).
+    A full grid of floor(budget^(1/6)) points per parameter is scanned.
+    The 32 best grid points then start one batched, bound-constrained
+    Levenberg-Marquardt refinement of the four product residuals in the six
+    rotation parameters, for at most 3000 steps, so refinement adds at most
+    32 * 3000 evaluations to the grid.  It stops when a start reaches a
+    residual of 1e-11 or every start has stalled.  The search never calls
+    the closed forms, and is deterministic for a fixed budget (the seed is
+    echoed for reproducibility bookkeeping; the search draws no random
+    numbers).
     """
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError("a and b must lie in [0, 1]")
@@ -585,34 +309,14 @@ def oracle_2x2(a: float, b: float, z: float, budget: int = 1_000_000, seed: int 
     # below so the start order stays reproducible
     picked = np.argpartition(flat, _REFINE_STARTS)[:_REFINE_STARTS]
     order = picked[np.lexsort((picked, flat[picked]))]
-
-    m = g * g * g
-    per_start = max(20_000, budget // (4 * _REFINE_STARTS))
-    best_f = float(flat[order[0]])
-    best_x = None
-    for idx in order:
-        i, j = divmod(int(idx), m)
-        ia, rem = divmod(i, g * g)
-        ja, ka = divmod(rem, g)
-        ib, rem = divmod(j, g * g)
-        jb, kb = divmod(rem, g)
-        x0 = [thetas[ia], lams[ja], lams[ka], thetas[ib], lams[jb], lams[kb]]
-        x, f, used = _refine(x0, a, b, z, per_start)
-        evaluations += used
-        if best_x is None or f < best_f:
-            best_x, best_f = x, f
-        if best_f <= _TARGET_SQ:
-            break
-    if best_f > _TARGET_SQ:
-        # Ill-conditioned feasible instances (b near 1, z near the bound)
-        # descend slowly; grant the winning start a full-budget polish so
-        # the per-start screening cap never cuts off a converging descent.
-        best_x, best_f, used = _refine(best_x, a, b, z, budget)
-        evaluations += used
+    ia, ja, ka, ib, jb, kb = np.unravel_index(order, (g,) * 6)
+    x0 = np.stack([thetas[ia], lams[ja], lams[ka], thetas[ib], lams[jb], lams[kb]], axis=1)
+    x, f, used = _refine(x0, np.array([[a, z], [0.0, b]]))
+    best = int(np.argmin(f))
     return OracleResult(
-        best_residual=float(math.sqrt(max(best_f, 0.0))),
-        parameters=tuple(float(v) for v in best_x),
-        evaluations=int(evaluations),
+        best_residual=float(math.sqrt(f[best])),
+        parameters=tuple(float(v) for v in x[best]),
+        evaluations=int(evaluations + used),
     )
 
 

@@ -206,6 +206,7 @@ def test_search_oracle_agreement(capsys):
             for z, feasible in (
                 (0.5 * bound, True),
                 (0.99 * bound, True),
+                (bound, True),
                 (1.01 * bound + 1e-3, False),
                 (2.0 * bound + 1e-3, False),
             ):

@@ -83,6 +83,14 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert "message" in report["payload"]
 
 
+def test_non_integer_dimensions_exit_one(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text('{"rows": 2.5, "cols": 2, "data": [[0.36, 0], [0.05, 0], [0, 0], [0.64, 0]]}')
+    code, report = run_json(capsys, ["check", "--input", str(path)])
+    assert code == 1
+    assert report["payload"]["message"] == "ValueError: matrix document needs integer rows/cols and data"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -441,6 +449,12 @@ def test_matrix_document_bit_exact_round_trip():
         {"rows": 1, "cols": 1, "data": [[None, 0.0]]},
         {"rows": 1, "cols": 1, "data": [[[1.0], 0.0]]},
         {"rows": 1, "cols": 1, "data": [["1.5", 0.0]]},
+        {"rows": 2.5, "cols": 2, "data": [[1.0, 0.0]] * 4},
+        {"rows": 2, "cols": 2.0, "data": [[1.0, 0.0]] * 4},
+        {"rows": "2", "cols": 2, "data": [[1.0, 0.0]] * 4},
+        {"rows": True, "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": 1e400, "cols": 1, "data": [[1.0, 0.0]]},
+        {"rows": None, "cols": 1, "data": [[1.0, 0.0]]},
     ],
 )
 def test_document_to_matrix_rejects_malformed(doc):

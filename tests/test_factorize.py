@@ -17,7 +17,6 @@ from quadfactor import (
     canonical_matrix,
     canonicalize,
     detect_quadratic,
-    direct_sum,
     factor_2x2,
     factor_block,
     factor_quadratic,
@@ -358,8 +357,8 @@ def test_factor_block_diagonal_coupling():
 
 def test_factor_block_zero_coupling():
     result = factor_block(0.36, 0.64, np.zeros((2, 2)))
-    assert np.abs(result.A - direct_sum(np.eye(2), 0.64 * np.eye(2))).max() <= 1e-14
-    assert np.abs(result.B - direct_sum(0.36 * np.eye(2), np.eye(2))).max() <= 1e-14
+    assert np.abs(result.A - np.diag([1.0, 1.0, 0.64, 0.64])).max() <= 1e-14
+    assert np.abs(result.B - np.diag([0.36, 0.36, 1.0, 1.0])).max() <= 1e-14
 
 
 def test_factor_block_general_psd_coupling():

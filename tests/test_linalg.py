@@ -9,7 +9,6 @@ from quadfactor import (
     as_matrix,
     block_positivity_witness,
     contraction_check,
-    direct_sum,
     frobenius,
     operator_norm,
     pinv,
@@ -206,17 +205,3 @@ def test_witness_scalar_hand_case():
     # [[1, 2], [2, 1]] has eigenvalue -1: no contraction witness
     with pytest.raises(NoWitnessError):
         block_positivity_witness([[1.0]], [[2.0]], [[1.0]])
-
-
-# ---------------------------------------------------------------------------
-# direct sums
-
-
-def test_direct_sum_layout():
-    out = direct_sum(np.array([[1.0]]), 2.0 * np.eye(2))
-    np.testing.assert_allclose(out, np.diag([1.0, 2.0, 2.0]), atol=0)
-
-
-def test_direct_sum_skips_empty_blocks():
-    out = direct_sum(np.zeros((0, 0)), np.array([[3.0]]))
-    np.testing.assert_allclose(out, [[3.0]], atol=0)

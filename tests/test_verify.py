@@ -356,6 +356,17 @@ def test_oracle_parameters_reconstruct_residual():
     assert residual == pytest.approx(result.best_residual, abs=1e-12)
 
 
+@pytest.mark.parametrize("budget", [10_000, 1_000_000])
+@pytest.mark.parametrize("a, b", [(0.36, 0.64), (0.6, 0.03), (0.3, 0.87), (0.2, 0.8)])
+def test_oracle_reaches_zero_on_the_bound(a, b, budget):
+    # z equal to the bound is the sharp case: T still factors, but only
+    # just, so the search must drive the residual to numerical zero there
+    result = oracle_2x2(a, b, feasibility_bound(a, b), budget=budget)
+    assert result.best_residual <= 1e-9
+    grid = int(budget ** (1.0 / 6.0) + 1e-9) ** 6
+    assert grid <= result.evaluations <= grid + 32 * 3000
+
+
 def test_oracle_deterministic():
     first = oracle_2x2(0.2, 0.8, 0.1, budget=10_000, seed=3)
     second = oracle_2x2(0.2, 0.8, 0.1, budget=10_000, seed=3)
